@@ -116,13 +116,22 @@ fn bench_energy_integration(c: &mut Criterion) {
 fn bench_adc_sensor(c: &mut Criterion) {
     let mut group = c.benchmark_group("adc_sensor");
     apas(&mut group);
-    let rig = MeasurementRig::for_max_power(Watts::new(65.0), 42).unwrap();
-    let mut waveform = PowerWaveform::new(Seconds::from_ms(20.0));
-    for i in 0..500u32 {
-        waveform.push(Watts::new(26.0 + 6.0 * f64::from(i % 8)));
-    }
+    let mut rig = MeasurementRig::for_max_power(Watts::new(65.0), 42).unwrap();
+    let waveforms: Vec<PowerWaveform> = (0..3u32)
+        .map(|j| {
+            let mut waveform = PowerWaveform::new(Seconds::from_ms(20.0));
+            for i in 0..500u32 {
+                waveform.push(Watts::new(26.0 + 6.0 * f64::from((i + j) % 8)));
+            }
+            waveform
+        })
+        .collect();
     group.bench_function("rig_measure_10s", |b| {
-        b.iter(|| std::hint::black_box(rig.measure(&waveform, 1)));
+        b.iter(|| std::hint::black_box(rig.try_measure(&waveforms[0], 1).unwrap()));
+    });
+    let batch: Vec<&PowerWaveform> = waveforms.iter().collect();
+    group.bench_function("rig_batch3_10s", |b| {
+        b.iter(|| std::hint::black_box(rig.measure_batch(&batch)));
     });
     group.finish();
 }

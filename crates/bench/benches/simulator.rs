@@ -86,9 +86,9 @@ fn bench_sensing(c: &mut Criterion) {
     w.scale_trace(0.2);
     let cfg = ChipConfig::stock(ProcessorId::Core2DuoE6600.spec());
     let run = sim.run(&cfg, &w, 1);
-    let rig = MeasurementRig::for_max_power(Watts::new(65.0), 7).unwrap();
+    let mut rig = MeasurementRig::for_max_power(Watts::new(65.0), 7).unwrap();
     c.bench_function("rig_measure_waveform", |b| {
-        b.iter(|| std::hint::black_box(rig.measure(&run.waveform, 1)));
+        b.iter(|| std::hint::black_box(rig.try_measure(&run.waveform, 1).unwrap()));
     });
 }
 

@@ -17,7 +17,7 @@
 //! | `trace_gen`         | workload-descriptor → software-thread traces   |
 //! | `interval_core`     | the interval model (`phase_performance`)       |
 //! | `energy_integration`| per-slice energy metering + waveform append    |
-//! | `adc_sensor`        | the 50 Hz logger → ADC → calibration inversion |
+//! | `adc_sensor`        | the validating rig pass, one run and a batch of 3 |
 //! | `cell_e2e`          | one uncached `(config, workload)` cell         |
 //! | `serve_cache_hit`   | the serving layer's warm-cache lookup          |
 //!
@@ -452,7 +452,7 @@ pub fn time_layer(
 #[must_use]
 #[allow(clippy::missing_panics_doc)] // catalog lookups of known names
 pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
-    let mut layers = Vec::with_capacity(6);
+    let mut layers = Vec::with_capacity(7);
 
     // trace-gen: workload descriptor -> placed software threads, the
     // front of the pipeline (trace clones + VM service synthesis).
@@ -545,16 +545,27 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
         ));
     }
 
-    // ADC/sensor path: a 10 s run through the 50 Hz logger, the Hall
-    // sensor, the ADC, and the calibration inversion.
+    // ADC/sensor path: a 10 s run through the validating rig call (the
+    // width-1 streaming pass: 50 Hz logger, Hall sensor, ADC, per-code
+    // calibration table, quality audit), then three such runs in one
+    // width-3 pass -- a Standard-fidelity cell's batch.
     {
-        let rig = MeasurementRig::for_max_power(Watts::new(65.0), 42).expect("rig calibrates");
-        let mut waveform = PowerWaveform::new(Seconds::from_ms(20.0));
-        for i in 0..500u32 {
-            waveform.push(Watts::new(26.0 + 6.0 * f64::from(i % 8)));
-        }
+        let mut rig = MeasurementRig::for_max_power(Watts::new(65.0), 42).expect("rig calibrates");
+        let waveforms: Vec<PowerWaveform> = (0..3u32)
+            .map(|j| {
+                let mut waveform = PowerWaveform::new(Seconds::from_ms(20.0));
+                for i in 0..500u32 {
+                    waveform.push(Watts::new(26.0 + 6.0 * f64::from((i + j) % 8)));
+                }
+                waveform
+            })
+            .collect();
         layers.push(time_layer("adc_sensor/rig_measure_10s", "adc_sensor", cfg, || {
-            std::hint::black_box(rig.measure(&waveform, 1));
+            std::hint::black_box(rig.try_measure(&waveforms[0], 1).expect("clean rig accepts"));
+        }));
+        let batch: Vec<&PowerWaveform> = waveforms.iter().collect();
+        layers.push(time_layer("adc_sensor/rig_batch3_10s", "adc_sensor", cfg, || {
+            std::hint::black_box(rig.measure_batch(&batch));
         }));
     }
 
@@ -931,6 +942,7 @@ mod tests {
                 "trace_gen",
                 "interval_core",
                 "energy_integration",
+                "adc_sensor",
                 "adc_sensor",
                 "cell_e2e",
                 "serve_cache_hit"

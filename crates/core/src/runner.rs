@@ -13,16 +13,25 @@
 //! with a Tukey/MAD test, and falls back to a recorded [`MeasureError`]
 //! only when the budget is spent. With no fault plans armed the two
 //! paths produce bit-for-bit identical measurements.
+//!
+//! A cell's invocations are simulated first and then measured together:
+//! a fault-free rig reads all of them in one streaming pass
+//! ([`MeasurementRig::measure_batch`]) under a shared borrow, so workers
+//! measuring on the same machine run side by side. A rig with a fault
+//! plan armed is measured one invocation at a time under exclusive
+//! access, because its injector's thermal clock and stall counters
+//! depend on call order.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use lhr_obs::Obs;
-use lhr_sensors::{faults::FaultPlan, MeasurementRig, SensorError};
+use lhr_power::PowerWaveform;
+use lhr_sensors::{faults::FaultPlan, Measurement, MeasurementRig, SensorError};
 use lhr_stats::{median, median_abs_deviation, Summary, SummaryBuilder};
-use lhr_uarch::{ChipConfig, ChipSimulator, ProcessorId, SimScratch};
+use lhr_uarch::{ChipConfig, ChipSimulator, ProcessorId, RunResult, SimScratch};
 use lhr_units::{Joules, Seconds, Watts};
 use lhr_workloads::{Group, Workload};
 
@@ -90,8 +99,9 @@ pub struct Runner {
     /// One rig per machine, each behind its own lock so a stalled or
     /// slow rig blocks only measurements on its machine -- the map lock
     /// is held just long enough to find (or build) the rig, never
-    /// across a measurement.
-    rigs: Mutex<HashMap<ProcessorId, Arc<Mutex<MeasurementRig>>>>,
+    /// across a measurement. Fault-free rigs are measured under the read
+    /// lock; faulted rigs and recalibrations take the write lock.
+    rigs: Mutex<HashMap<ProcessorId, Arc<RwLock<MeasurementRig>>>>,
     /// Lab notebook: measurements are pure functions of (configuration,
     /// workload) under a fixed seed policy, so repeats across experiments
     /// (every figure touches the stock machines) are served from cache.
@@ -412,7 +422,7 @@ impl Runner {
 
     /// One chip-simulator run through the scratch pool: pops a reusable
     /// buffer (builds one if the pool is dry), simulates, returns it.
-    fn sim_run(&self, config: &ChipConfig, w: &Workload, seed: u64) -> lhr_uarch::RunResult {
+    fn sim_run(&self, config: &ChipConfig, w: &Workload, seed: u64) -> RunResult {
         let mut scratch = SCRATCH_POOL.lock().pop().unwrap_or_default();
         let result = self.sim.run_with_scratch(config, w, seed, &mut scratch);
         let mut pool = SCRATCH_POOL.lock();
@@ -422,14 +432,30 @@ impl Runner {
         result
     }
 
-    /// The machine's rig handle (built before first invocation).
-    fn rig_for(&self, id: ProcessorId) -> Arc<Mutex<MeasurementRig>> {
-        Arc::clone(
-            self.rigs
-                .lock()
-                .get(&id)
-                .expect("inserted before invocations"),
+    /// The machine's rig, built and calibrated on first use, as in the
+    /// lab.
+    fn rig_for(
+        &self,
+        config: &ChipConfig,
+        label: &str,
+    ) -> Result<Arc<RwLock<MeasurementRig>>, MeasureError> {
+        let spec = config.spec();
+        let mut rigs = self.rigs.lock();
+        if let Some(rig) = rigs.get(&spec.id) {
+            return Ok(Arc::clone(rig));
+        }
+        let rig = MeasurementRig::for_max_power(
+            Watts::new(spec.power.tdp_w),
+            0x0d1e_5ee0 ^ spec.id as u64,
         )
+        .map_err(|e| MeasureError::rig_setup(label.to_string(), e))?;
+        let rig = match self.fault_plans.get(&spec.id) {
+            Some(plan) => rig.with_fault_plan(plan.clone()),
+            None => rig,
+        };
+        let rig = Arc::new(RwLock::new(rig.with_observer(self.obs.clone())));
+        rigs.insert(spec.id, Arc::clone(&rig));
+        Ok(rig)
     }
 
     fn measure_uncached(
@@ -437,27 +463,12 @@ impl Runner {
         config: &ChipConfig,
         workload: &Workload,
     ) -> Result<(RunMeasurement, MeasureHealth), MeasureError> {
-        let spec = config.spec();
         // The configuration label feeds the seed of every invocation and
         // several error paths; building it once per cell (instead of once
         // per invocation) keeps the hot path free of format! churn.
         let label = config.label();
-        // One rig per machine, calibrated on first use, as in the lab.
-        {
-            let mut rigs = self.rigs.lock();
-            if let std::collections::hash_map::Entry::Vacant(slot) = rigs.entry(spec.id) {
-                let rig = MeasurementRig::for_max_power(
-                    Watts::new(spec.power.tdp_w),
-                    0x0d1e_5ee0 ^ spec.id as u64,
-                )
-                .map_err(|e| MeasureError::rig_setup(label.clone(), e))?;
-                let rig = match self.fault_plans.get(&spec.id) {
-                    Some(plan) => rig.with_fault_plan(plan.clone()),
-                    None => rig,
-                };
-                slot.insert(Arc::new(Mutex::new(rig.with_observer(self.obs.clone()))));
-            }
-        }
+        let rig = self.rig_for(config, &label)?;
+        let faulted = self.fault_plans.contains_key(&config.spec().id);
 
         let scaled;
         let w = if (self.instruction_scale - 1.0).abs() < 1e-12 {
@@ -466,8 +477,31 @@ impl Runner {
             scaled = scale_workload(workload, self.instruction_scale);
             &scaled
         };
+        let cell = CellCtx {
+            config,
+            w,
+            workload,
+            label: &label,
+            rig: &rig,
+            faulted,
+        };
 
         let n = self.invocations_for(workload);
+        // Attempt-0 seeds do not depend on the retry counter, so every
+        // invocation's first run is simulated before any is measured.
+        let runs: Vec<RunResult> = (0..n)
+            .map(|k| self.sim_run(config, w, seed_for(self.base_seed, workload.name(), &label, k)))
+            .collect();
+        // A fault-free rig reads them all in one pass. The readings are
+        // audited one by one below, in invocation order, so the rig's
+        // counters see exactly the runs a one-at-a-time pass would.
+        let mut readings = if faulted {
+            None
+        } else {
+            let waveforms: Vec<&PowerWaveform> = runs.iter().map(|r| &r.waveform).collect();
+            Some(rig.read().measure_batch(&waveforms).into_iter())
+        };
+
         let mut health = MeasureHealth::default();
         // Invocation counts are single digits under every protocol in the
         // paper, so the per-invocation samples live on the stack; the heap
@@ -483,11 +517,18 @@ impl Runner {
             (&mut times_vec[..], &mut powers_vec[..])
         };
         let mut attempts = 0usize; // distinct seeds consumed beyond attempt 0
-        for k in 0..n {
-            let (t, p) =
-                self.run_invocation(config, w, workload, &label, k, &mut attempts, &mut health)?;
+        for (k, run) in runs.iter().enumerate() {
+            let recalibrations = health.recalibrations;
+            let reading = readings.as_mut().and_then(Iterator::next);
+            let (t, p) = self.run_invocation(&cell, k, run, reading, &mut attempts, &mut health)?;
             times[k] = t;
             powers[k] = p;
+            // A recalibration refits the channel, so the batch's later
+            // readings went through the old fit: those invocations are
+            // measured one at a time, as they would have been.
+            if health.recalibrations != recalibrations {
+                readings = None;
+            }
         }
 
         // Tukey/MAD outlier fence on the per-invocation power means: a
@@ -510,8 +551,7 @@ impl Runner {
                 health.rejected_outliers += 1;
                 health.retries += 1;
                 attempts += 1;
-                let (t, p) = self
-                    .run_invocation_once(config, w, workload, &label, k, attempts, &mut health)?;
+                let (t, p) = self.run_retry(&cell, k, attempts, &mut health)?;
                 times[k] = t;
                 powers[k] = p;
             }
@@ -533,26 +573,24 @@ impl Runner {
         Ok((measurement, health))
     }
 
-    /// Runs invocation `k` until the rig accepts it or the budget dies:
-    /// drift rejections trigger a recalibration and a same-seed repeat;
-    /// other sensor rejections burn a retry and a fresh seed.
-    ///
-    /// `w` is the (possibly instruction-scaled) workload that runs;
-    /// `workload` is the original, used for naming and seeding.
-    #[allow(clippy::too_many_arguments)]
+    /// Settles invocation `k` from its attempt-0 `run` (and, on a
+    /// fault-free rig, the batch's unaudited `reading` of it): drift
+    /// rejections trigger a recalibration and a same-seed repeat; other
+    /// sensor rejections burn a retry and a fresh seed, until the rig
+    /// accepts or the budget dies.
     fn run_invocation(
         &self,
-        config: &ChipConfig,
-        w: &Workload,
-        workload: &Workload,
-        label: &str,
+        cell: &CellCtx<'_>,
         k: usize,
+        run: &RunResult,
+        reading: Option<Measurement>,
         attempts: &mut usize,
         health: &mut MeasureHealth,
     ) -> Result<(f64, f64), MeasureError> {
-        let mut attempt = 0usize;
+        let seed = seed_for(self.base_seed, cell.workload.name(), cell.label, k);
+        let mut outcome = self.settle(cell, run, seed, reading, health);
         loop {
-            match self.run_invocation_once(config, w, workload, label, k, attempt, health) {
+            match outcome {
                 Ok(sample) => return Ok(sample),
                 Err(e) => {
                     // A failed recalibration is terminal: the channel is
@@ -560,91 +598,75 @@ impl Runner {
                     if matches!(e.kind, MeasureErrorKind::Sensor(_))
                         || health.retries >= self.retry_budget
                     {
-                        return Err(self.budget_exhausted(config, workload, e));
+                        return Err(self.budget_exhausted(cell.config, cell.workload, e));
                     }
                     health.retries += 1;
                     *attempts += 1;
-                    attempt = *attempts;
+                    outcome = self.run_retry(cell, k, *attempts, health);
                 }
             }
         }
     }
 
-    /// One simulated run plus one rig pass for invocation `k`, on the
-    /// seed derived from `attempt` (attempt 0 is the legacy seed).
-    /// Recalibrates -- without consuming the attempt -- when the rig
-    /// reports drift.
-    #[allow(clippy::too_many_arguments)]
-    fn run_invocation_once(
+    /// One simulated run plus one rig pass for invocation `k` on the
+    /// fresh seed of retry `attempt` (>= 1).
+    fn run_retry(
         &self,
-        config: &ChipConfig,
-        w: &Workload,
-        workload: &Workload,
-        label: &str,
+        cell: &CellCtx<'_>,
         k: usize,
         attempt: usize,
         health: &mut MeasureHealth,
     ) -> Result<(f64, f64), MeasureError> {
-        let spec = config.spec();
-        let base = seed_for(self.base_seed, workload.name(), label, k);
-        let seed = if attempt == 0 {
-            base
-        } else {
-            retry_seed(base, attempt)
+        let base = seed_for(self.base_seed, cell.workload.name(), cell.label, k);
+        let seed = retry_seed(base, attempt);
+        let run = self.sim_run(cell.config, cell.w, seed);
+        self.settle(cell, &run, seed, None, health)
+    }
+
+    /// The rig's verdict on one simulated run: audits the batch's
+    /// `reading` of it if there is one, otherwise measures it. When the
+    /// rig reports drift, recalibrates -- without consuming the attempt
+    /// -- and measures the same run again.
+    fn settle(
+        &self,
+        cell: &CellCtx<'_>,
+        run: &RunResult,
+        seed: u64,
+        reading: Option<Measurement>,
+        health: &mut MeasureHealth,
+    ) -> Result<(f64, f64), MeasureError> {
+        let error = |kind| MeasureError {
+            workload: Some(cell.workload.name()),
+            config: cell.label.to_string(),
+            kind,
         };
-        let result = self.sim_run(config, w, seed);
-        let rig = self.rig_for(spec.id);
-        let mut rig = rig.lock();
-        match rig.try_measure(&result.waveform, seed ^ 0x50_c3) {
-            Ok(m) => Ok((result.time.value(), m.average_power.value())),
+        let exhausted = |last| {
+            error(MeasureErrorKind::RetryBudgetExhausted {
+                budget: self.retry_budget,
+                last,
+            })
+        };
+        let seed = seed ^ 0x50_c3;
+        let first = match reading {
+            Some(reading) => cell.rig.read().audit(reading),
+            None => cell.measure(&run.waveform, seed),
+        };
+        let measured = match first {
             Err(SensorError::ExcessiveDrift { .. }) => {
                 // The fit no longer matches the channel: recalibrate and
                 // repeat this attempt, as the paper's lab did.
                 health.recalibrations += 1;
-                rig.recalibrate().map_err(|e| MeasureError {
-                    workload: Some(workload.name()),
-                    config: label.to_string(),
-                    kind: MeasureErrorKind::Sensor(e),
-                })?;
-                drop(rig);
-                self.retry_after_recalibration(config, w, workload, label, seed)
+                cell.rig
+                    .write()
+                    .recalibrate()
+                    .map_err(|e| error(MeasureErrorKind::Sensor(e)))?;
+                cell.measure(&run.waveform, seed)
             }
-            Err(e) => Err(MeasureError {
-                workload: Some(workload.name()),
-                config: label.to_string(),
-                kind: MeasureErrorKind::RetryBudgetExhausted {
-                    budget: self.retry_budget,
-                    last: e,
-                },
-            }),
-        }
-    }
-
-    /// Repeats a drift-rejected invocation on its own seed, against the
-    /// freshly recalibrated rig.
-    fn retry_after_recalibration(
-        &self,
-        config: &ChipConfig,
-        w: &Workload,
-        workload: &Workload,
-        label: &str,
-        seed: u64,
-    ) -> Result<(f64, f64), MeasureError> {
-        let spec = config.spec();
-        let result = self.sim_run(config, w, seed);
-        let rig = self.rig_for(spec.id);
-        let mut rig = rig.lock();
-        match rig.try_measure(&result.waveform, seed ^ 0x50_c3) {
-            Ok(m) => Ok((result.time.value(), m.average_power.value())),
-            Err(e) => Err(MeasureError {
-                workload: Some(workload.name()),
-                config: label.to_string(),
-                kind: MeasureErrorKind::RetryBudgetExhausted {
-                    budget: self.retry_budget,
-                    last: e,
-                },
-            }),
-        }
+            other => other,
+        };
+        measured
+            .map(|m| (run.time.value(), m.average_power.value()))
+            .map_err(exhausted)
     }
 
     fn budget_exhausted(
@@ -663,6 +685,32 @@ impl Runner {
                 kind: underlying.kind,
             },
         }
+    }
+}
+
+/// What every invocation of one uncached cell shares.
+struct CellCtx<'a> {
+    config: &'a ChipConfig,
+    /// The (possibly instruction-scaled) workload that runs.
+    w: &'a Workload,
+    /// The original workload, used for naming and seeding.
+    workload: &'a Workload,
+    label: &'a str,
+    rig: &'a RwLock<MeasurementRig>,
+    faulted: bool,
+}
+
+impl CellCtx<'_> {
+    /// One audited rig pass: a width-1 streaming pass under a shared
+    /// borrow on a fault-free rig, `try_measure` under exclusive access
+    /// on a faulted one.
+    fn measure(&self, waveform: &PowerWaveform, seed: u64) -> Result<Measurement, SensorError> {
+        if self.faulted {
+            return self.rig.write().try_measure(waveform, seed);
+        }
+        let rig = self.rig.read();
+        let reading = rig.measure_batch(&[waveform]).remove(0);
+        rig.audit(reading)
     }
 }
 

@@ -100,11 +100,13 @@ pub mod prom;
 mod recorder;
 pub mod slo;
 mod snapshot;
+#[cfg(test)]
+mod testing;
 mod timeseries;
 
 pub use event::{Event, EventKind};
 pub use json::{push_json_number, push_json_string, JsonLinesRecorder};
-pub use memory::{MemoryRecorder, OwnedEvent, OwnedEventKind};
+pub use memory::MemoryRecorder;
 pub use recorder::{Obs, Recorder, Span, Tee};
 pub use slo::{AlertState, SloConfig, SloStatus, SloTracker};
 pub use snapshot::{Exemplar, HistogramSummary, MetricsSnapshot, SpanStats};

@@ -1,6 +1,5 @@
-//! An in-memory recorder: keeps the raw event stream and aggregates
-//! counters, histograms, and span timings for tests and end-of-run
-//! profile summaries.
+//! An in-memory recorder: aggregates counters, histograms, and span
+//! timings for tests and end-of-run profile summaries.
 
 use std::sync::Mutex;
 
@@ -8,45 +7,15 @@ use crate::event::{Event, EventKind};
 use crate::recorder::Recorder;
 use crate::snapshot::{HistogramSummary, MetricsSnapshot, SpanStats};
 
-/// An owned copy of one recorded event (the borrowed wire type is
-/// [`Event`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedEvent {
-    /// The event name.
-    pub name: String,
-    /// The request context the event carried (0 = none).
-    pub request: u64,
-    /// The distributed trace id the event carried (0 = none).
-    pub trace: u128,
-    /// The owned payload.
-    pub kind: OwnedEventKind,
-}
-
-/// Owned counterpart of [`EventKind`].
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings documented on `EventKind`
-pub enum OwnedEventKind {
-    SpanStart { id: u64, parent: u64 },
-    SpanEnd { id: u64, nanos: u64, error: bool },
-    Counter { delta: u64 },
-    Gauge { value: f64 },
-    Histogram { value: f64 },
-    Mark { detail: String },
-}
-
-#[derive(Debug, Default)]
-struct State {
-    events: Vec<OwnedEvent>,
-    snapshot: MetricsSnapshot,
-}
-
 /// Aggregating in-memory [`Recorder`].
 ///
-/// Keeps every event (in arrival order) plus running aggregates; a
+/// Keeps running aggregates only, never the raw events, so a long-lived
+/// process (a server) holds memory in proportion to the metric names it
+/// uses rather than the events it has seen; a
 /// [`MemoryRecorder::snapshot`] is cheap and can be taken mid-run.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
-    state: Mutex<State>,
+    snapshot: Mutex<MetricsSnapshot>,
 }
 
 impl MemoryRecorder {
@@ -58,27 +27,15 @@ impl MemoryRecorder {
     /// lock (recorders never panic in normal operation).
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.state.lock().expect("recorder lock poisoned").snapshot.clone()
-    }
-
-    /// A copy of the raw event stream, in arrival order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recording thread panicked while holding the internal
-    /// lock.
-    #[must_use]
-    pub fn events(&self) -> Vec<OwnedEvent> {
-        self.state.lock().expect("recorder lock poisoned").events.clone()
+        self.snapshot.lock().expect("recorder lock poisoned").clone()
     }
 }
 
 impl Recorder for MemoryRecorder {
     fn record(&self, event: &Event<'_>) {
-        let Ok(mut state) = self.state.lock() else {
+        let Ok(mut snap) = self.snapshot.lock() else {
             return; // a poisoned notebook must not kill the measurement
         };
-        let snap = &mut state.snapshot;
         snap.events_recorded += 1;
         match event.kind {
             EventKind::SpanStart { .. } => {}
@@ -116,34 +73,21 @@ impl Recorder for MemoryRecorder {
                 snap.marks.push((event.name.to_owned(), detail.to_owned()));
             }
         }
-        let owned = OwnedEvent {
-            name: event.name.to_owned(),
-            request: event.request,
-            trace: event.trace,
-            kind: match event.kind {
-                EventKind::SpanStart { id, parent } => OwnedEventKind::SpanStart { id, parent },
-                EventKind::SpanEnd { id, nanos, error } => {
-                    OwnedEventKind::SpanEnd { id, nanos, error }
-                }
-                EventKind::Counter { delta } => OwnedEventKind::Counter { delta },
-                EventKind::Gauge { value } => OwnedEventKind::Gauge { value },
-                EventKind::Histogram { value } => OwnedEventKind::Histogram { value },
-                EventKind::Mark { detail } => OwnedEventKind::Mark {
-                    detail: detail.to_owned(),
-                },
-            },
-        };
-        state.events.push(owned);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::Tee;
+    use crate::testing::Collecting;
+    use std::sync::Arc;
 
     #[test]
     fn aggregates_counters_histograms_and_marks() {
-        let r = MemoryRecorder::default();
+        let memory = Arc::new(MemoryRecorder::default());
+        let log = Arc::new(Collecting::default());
+        let r = Tee::new(vec![memory.clone(), log.clone()]);
         r.record(&Event {
             name: "c",
             request: 0,
@@ -186,7 +130,7 @@ mod tests {
             trace: 0,
             kind: EventKind::Gauge { value: 4.0 },
         });
-        let snap = r.snapshot();
+        let snap = memory.snapshot();
         assert_eq!(snap.counter("c"), 5);
         assert_eq!(snap.counter("absent"), 0);
         assert_eq!(snap.gauge("g"), Some(4.0), "latest gauge level wins");
@@ -197,7 +141,7 @@ mod tests {
         assert!((h.min - 1.0).abs() < 1e-12 && (h.max - 3.0).abs() < 1e-12);
         assert_eq!(snap.marks, vec![("m".to_owned(), "cell X".to_owned())]);
         assert_eq!(snap.events_recorded, 7);
-        assert_eq!(r.events().len(), 7);
+        assert_eq!(log.events().len(), 7);
     }
 
     #[test]

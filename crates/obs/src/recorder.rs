@@ -276,6 +276,7 @@ impl Recorder for Tee {
 mod tests {
     use super::*;
     use crate::memory::MemoryRecorder;
+    use crate::testing::{Collecting, OwnedEventKind};
 
     #[test]
     fn disabled_handle_is_inert() {
@@ -308,7 +309,7 @@ mod tests {
 
     #[test]
     fn span_ids_are_unique_and_paired() {
-        let memory = Arc::new(MemoryRecorder::default());
+        let memory = Arc::new(Collecting::default());
         let obs = Obs::recording(memory.clone());
         drop(obs.span("a"));
         drop(obs.span("a"));
@@ -316,14 +317,14 @@ mod tests {
         let starts: Vec<u64> = events
             .iter()
             .filter_map(|e| match e.kind {
-                crate::memory::OwnedEventKind::SpanStart { id, .. } => Some(id),
+                OwnedEventKind::SpanStart { id, .. } => Some(id),
                 _ => None,
             })
             .collect();
         let ends: Vec<u64> = events
             .iter()
             .filter_map(|e| match e.kind {
-                crate::memory::OwnedEventKind::SpanEnd { id, .. } => Some(id),
+                OwnedEventKind::SpanEnd { id, .. } => Some(id),
                 _ => None,
             })
             .collect();
@@ -334,7 +335,7 @@ mod tests {
 
     #[test]
     fn spans_record_their_parent_and_request_context() {
-        let memory = Arc::new(MemoryRecorder::default());
+        let memory = Arc::new(Collecting::default());
         let obs = Obs::recording(memory.clone());
         let (req, ()) = crate::context::with_new_request(|| {
             let outer = obs.span("outer");
@@ -347,7 +348,7 @@ mod tests {
         let mut outer_id = 0;
         for e in &events {
             assert_eq!(e.request, req, "{e:?} must carry the request id");
-            if let crate::memory::OwnedEventKind::SpanStart { id, parent } = e.kind {
+            if let OwnedEventKind::SpanStart { id, parent } = e.kind {
                 if e.name == "outer" {
                     assert_eq!(parent, 0, "outer is a root span");
                     outer_id = id;
@@ -366,7 +367,7 @@ mod tests {
 
     #[test]
     fn spans_stamp_the_thread_trace_and_failure() {
-        let memory = Arc::new(MemoryRecorder::default());
+        let memory = Arc::new(Collecting::default());
         let obs = Obs::recording(memory.clone());
         crate::context::with_ctx(
             crate::context::Ctx {
@@ -383,10 +384,9 @@ mod tests {
         );
         let events = memory.events();
         assert!(events.iter().all(|e| e.trace == 0xFEED), "{events:?}");
-        assert!(events.iter().any(|e| matches!(
-            e.kind,
-            crate::memory::OwnedEventKind::SpanEnd { error: true, .. }
-        )));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e.kind, OwnedEventKind::SpanEnd { error: true, .. })));
         // Inert spans expose id 0 and ignore fail().
         let mut inert = Obs::none().span("x");
         assert_eq!(inert.id(), 0);

@@ -93,7 +93,11 @@ impl PowerWaveform {
         if self.samples.is_empty() {
             return Watts::ZERO;
         }
-        let idx = (t.value() / self.slice.value()).floor() as usize;
+        // A float-to-unsigned cast truncates toward zero and saturates
+        // negatives and NaN to 0, which is exactly `floor` followed by
+        // the cast -- without `floor`, a software routine on baseline
+        // x86-64.
+        let idx = (t.value() / self.slice.value()) as usize;
         Watts::new(self.samples[idx.min(self.samples.len() - 1)])
     }
 
@@ -200,6 +204,21 @@ mod tests {
         assert_eq!(w.power_at(Seconds::from_ms(25.0)), Watts::new(30.0));
         // Past the end: final value.
         assert_eq!(w.power_at(Seconds::new(99.0)), Watts::new(30.0));
+    }
+
+    #[test]
+    fn slice_index_cast_equals_floor_then_cast() {
+        let w = wf(&[10.0, 20.0, 30.0]);
+        let floored = |t: f64| {
+            let idx = (t / w.slice().value()).floor() as usize;
+            Watts::new([10.0, 20.0, 30.0][idx.min(2)])
+        };
+        let below_zero = [-1.0, -0.015, -0.01, -1e-300, -0.0];
+        let around_slices = [0.0, 0.0099999, 0.01, 0.02, 0.029999, 0.03];
+        let extremes = [1e300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for t in below_zero.into_iter().chain(around_slices).chain(extremes) {
+            assert_eq!(w.power_at(Seconds::new(t)), floored(t), "t = {t}");
+        }
     }
 
     #[test]

@@ -69,8 +69,11 @@ impl Adc {
     pub fn quantize(&self, v: Volts) -> u16 {
         let v_ref = self.v_ref_mv as f64 / 1000.0;
         let norm = (v.value() / v_ref).clamp(0.0, 1.0);
-        let code = (norm * f64::from(1u32 << self.bits)).floor();
-        (code as u32).min(u32::from(self.max_code())) as u16
+        // `norm` is in [0, 1] or NaN, where the cast's truncation (NaN
+        // to 0) is `floor` -- without `floor`, a software routine on
+        // baseline x86-64.
+        let code = (norm * f64::from(1u32 << self.bits)) as u32;
+        code.min(u32::from(self.max_code())) as u16
     }
 
     /// The center voltage a code represents (for reconstruction).
@@ -112,6 +115,21 @@ mod tests {
         let adc = Adc::avr_10bit();
         assert_eq!(adc.quantize(Volts::new(-1.0)), 0);
         assert_eq!(adc.quantize(Volts::new(9.0)), 1023);
+    }
+
+    #[test]
+    fn truncating_cast_equals_floor_then_cast() {
+        let adc = Adc::avr_10bit();
+        let floored = |v: f64| {
+            let norm = (v / 5.0).clamp(0.0, 1.0);
+            ((norm * 1024.0).floor() as u32).min(1023) as u16
+        };
+        let boundaries = (0..=1024).map(|k| f64::from(k) * 5.0 / 1024.0);
+        let nudged = boundaries.flat_map(|v| [v, v.next_down(), v.next_up()]);
+        let specials = [-1.0, -0.0, 9.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for v in nudged.chain(specials) {
+            assert_eq!(adc.quantize(Volts::new(v)), floored(v), "v = {v}");
+        }
     }
 
     #[test]

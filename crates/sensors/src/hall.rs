@@ -71,21 +71,35 @@ impl HallSensor {
     ///
     /// Currents beyond the sensor's range saturate, as in hardware.
     pub fn output(&mut self, current: Amperes) -> Volts {
-        let i = current.value().clamp(-self.range_a, self.range_a);
-        let ideal = self.center_v - self.sensitivity_v_per_a * (1.0 + self.gain_error) * i;
-        let noisy = ideal + self.offset_error_v + self.noise.next_normal(0.0, self.noise_sd_v);
-        Volts::new(noisy.clamp(0.0, 5.0))
+        let offset_ideal = self.offset_ideal(current);
+        Self::noisy(offset_ideal, self.next_noise())
     }
 
     /// The noiseless transfer function (used in tests and documentation).
     #[must_use]
     pub fn ideal_output(&self, current: Amperes) -> Volts {
+        Volts::new(self.offset_ideal(current).clamp(0.0, 5.0))
+    }
+
+    /// The noiseless output before the rails clamp it: this device's
+    /// transfer plus its offset error (`ideal + offset`). A batched rig
+    /// pass computes it once per waveform slice.
+    pub(crate) fn offset_ideal(&self, current: Amperes) -> f64 {
         let i = current.value().clamp(-self.range_a, self.range_a);
-        Volts::new(
-            (self.center_v - self.sensitivity_v_per_a * (1.0 + self.gain_error) * i
-                + self.offset_error_v)
-                .clamp(0.0, 5.0),
-        )
+        let ideal = self.center_v - self.sensitivity_v_per_a * (1.0 + self.gain_error) * i;
+        ideal + self.offset_error_v
+    }
+
+    /// Draws the next output-noise sample, in volts.
+    pub(crate) fn next_noise(&mut self) -> f64 {
+        self.noise.next_normal(0.0, self.noise_sd_v)
+    }
+
+    /// The last step of [`HallSensor::output`]: noise added to
+    /// `ideal + offset` (in that order, so `(ideal + offset) + noise`),
+    /// clamped to the rails.
+    pub(crate) fn noisy(offset_ideal: f64, noise: f64) -> Volts {
+        Volts::new((offset_ideal + noise).clamp(0.0, 5.0))
     }
 }
 

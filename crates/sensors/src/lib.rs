@@ -22,6 +22,12 @@
 //! [`SensorError`]s instead of panicking. A rig with no fault plan
 //! measures bit-for-bit identically to one without the layer at all.
 //!
+//! A fault-free rig measures through one streaming pass,
+//! [`MeasurementRig::measure_batch`]: every run on a rig replays the
+//! same sensor-noise stream, so a batch of runs shares each noise draw,
+//! and nothing is stored per sample. [`MeasurementRig::measure_reference`]
+//! keeps the per-sample path as its oracle.
+//!
 //! The rig keeps a lab notebook too: arm an `lhr-obs` observer
 //! ([`MeasurementRig::with_observer`]) and it reports per-run sample
 //! yield and drift codes, fault activations, rejections, and
@@ -41,9 +47,10 @@
 //!     w.push(Watts::new(26.0)); // a steady 26 W chip
 //! }
 //! let rig = MeasurementRig::for_max_power(Watts::new(60.0), 42)?;
-//! let m = rig.measure(&w, 7);
+//! let (m, samples) = rig.measure_reference(&w);
 //! let err = (m.average_power.value() - 26.0).abs() / 26.0;
 //! assert!(err < 0.02, "measured within ~1-2%");
+//! assert_eq!(samples.len(), 200); // 4 s at 50 Hz
 //! # Ok::<(), lhr_sensors::CalibrationError>(())
 //! ```
 

@@ -45,6 +45,18 @@ impl DataLogger {
         self.supply
     }
 
+    /// How many samples the logger takes over a run of this waveform's
+    /// duration: one per sample period, and at least one.
+    pub(crate) fn sample_count(&self, waveform: &PowerWaveform) -> usize {
+        let period = 1.0 / self.sample_hz;
+        ((waveform.duration().value() / period).floor() as usize).max(1)
+    }
+
+    /// When the `k`-th sample of a run is taken.
+    pub(crate) fn sample_time(&self, k: usize) -> Seconds {
+        Seconds::new(k as f64 * (1.0 / self.sample_hz))
+    }
+
     /// Logs a full benchmark run: samples the chip's power waveform at the
     /// logger rate, converts power to rail current, passes it through the
     /// sensor, and quantizes with the ADC. Returns the raw code log.
@@ -58,13 +70,9 @@ impl DataLogger {
         sensor: &mut HallSensor,
         adc: &Adc,
     ) -> Vec<u16> {
-        let duration = waveform.duration().value();
-        let period = 1.0 / self.sample_hz;
-        let n = ((duration / period).floor() as usize).max(1);
-        (0..n)
+        (0..self.sample_count(waveform))
             .map(|k| {
-                let t = Seconds::new(k as f64 * period);
-                let current = waveform.power_at(t) / self.supply;
+                let current = waveform.power_at(self.sample_time(k)) / self.supply;
                 adc.quantize(sensor.output(current))
             })
             .collect()
@@ -85,13 +93,9 @@ impl DataLogger {
         adc: &Adc,
         session: &mut FaultSession,
     ) -> Vec<Option<u16>> {
-        let duration = waveform.duration().value();
-        let period = 1.0 / self.sample_hz;
-        let n = ((duration / period).floor() as usize).max(1);
-        (0..n)
+        (0..self.sample_count(waveform))
             .map(|k| {
-                let t = Seconds::new(k as f64 * period);
-                let current = waveform.power_at(t) / self.supply;
+                let current = waveform.power_at(self.sample_time(k)) / self.supply;
                 let volts = session.volts(sensor.output(current));
                 let code = session.code(adc.quantize(volts));
                 session.keep().then_some(code)

@@ -86,16 +86,22 @@ impl QualityReport {
     /// ```
     #[must_use]
     pub fn from_codes(codes: &[u16], drift_codes: f64) -> Self {
-        let expected = codes.len();
+        Self::lossless(codes.len(), flatlined_fraction(codes), drift_codes)
+    }
+
+    /// The report for a lossless log of `samples` codes whose flatlined
+    /// fraction is already known (a streaming pass counts it without
+    /// keeping the codes).
+    pub(crate) fn lossless(samples: usize, saturated_fraction: f64, drift_codes: f64) -> Self {
         Self {
-            expected_samples: expected,
-            logged_samples: expected,
+            expected_samples: samples,
+            logged_samples: samples,
             // `from_log` computes logged / expected, which for a
             // lossless log is x / x = exactly 1.0 in IEEE 754, so the
             // two constructors agree bit-for-bit on every input.
-            sample_yield: if expected == 0 { 0.0 } else { 1.0 },
+            sample_yield: if samples == 0 { 0.0 } else { 1.0 },
             gap_count: 0,
-            saturated_fraction: flatlined_fraction(codes),
+            saturated_fraction,
             drift_codes,
         }
     }
@@ -177,6 +183,80 @@ fn flatlined_fraction(codes: &[u16]) -> f64 {
         i = j;
     }
     flat as f64 / codes.len() as f64
+}
+
+/// [`flatlined_fraction`] computed one code at a time, without keeping
+/// the codes. A run of identical codes counts only if its code is one of
+/// the log's final extremes, and the running minimum and maximum only
+/// ever move outward: a run's code can be a final extreme only if it is
+/// an extreme when the run ends. So it is enough to total the ended runs
+/// of at least [`FLATLINE_RUN`] codes at the current minimum and at the
+/// current maximum, restarting a total when its extreme moves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Flatline {
+    lo: u16,
+    hi: u16,
+    /// Samples in ended flatline-length runs at `lo` and at `hi`.
+    at_lo: usize,
+    at_hi: usize,
+    code: u16,
+    len: usize,
+}
+
+impl Flatline {
+    /// The state of an empty log.
+    pub(crate) const EMPTY: Self = Self {
+        lo: u16::MAX,
+        hi: 0,
+        at_lo: 0,
+        at_hi: 0,
+        code: 0,
+        len: 0,
+    };
+
+    /// Appends `code` to the log.
+    #[inline]
+    pub(crate) fn push(&mut self, code: u16) {
+        if code != self.code {
+            self.end_run();
+            self.code = code;
+        }
+        self.len += 1;
+        if code < self.lo {
+            self.lo = code;
+            self.at_lo = 0;
+        }
+        if code > self.hi {
+            self.hi = code;
+            self.at_hi = 0;
+        }
+    }
+
+    fn end_run(&mut self) {
+        if self.len >= FLATLINE_RUN {
+            if self.code == self.lo {
+                self.at_lo += self.len;
+            }
+            if self.code == self.hi {
+                self.at_hi += self.len;
+            }
+        }
+        self.len = 0;
+    }
+
+    /// The flatlined fraction of the complete log of `samples` codes.
+    pub(crate) fn fraction(mut self, samples: usize) -> f64 {
+        if samples < FLATLINE_RUN {
+            return 0.0;
+        }
+        self.end_run();
+        let pinned = if self.lo == self.hi {
+            self.at_lo
+        } else {
+            self.at_lo + self.at_hi
+        };
+        pinned as f64 / samples as f64
+    }
 }
 
 #[cfg(test)]
@@ -266,6 +346,41 @@ mod tests {
             assert_eq!(
                 QualityReport::from_codes(codes, 0.7),
                 QualityReport::from_log(&log, 0.7),
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_flatline_matches_the_collected_fraction() {
+        let mut pegged = vec![400u16; 50];
+        pegged.extend((0..50).map(|i| 470 + (i % 4) as u16));
+        let mut both_ends = vec![1023u16; 9];
+        both_ends.extend([500, 501, 500]);
+        both_ends.extend([0; 12]);
+        let run = |code: u16, n: usize| vec![code; n];
+        let logs: Vec<Vec<u16>> = vec![
+            run(470, 5),
+            run(470, 8),
+            run(0, 9),
+            pegged,
+            both_ends,
+            vec![470, 470, 470, 470, 470, 470, 470, 470, 469, 471, 469],
+            (0..40).map(|i| 450 + (i % 3) as u16).collect(),
+            // Extremes that move after a flatline run has ended.
+            [run(470, 10), vec![460], run(470, 3)].concat(),
+            [run(470, 9), vec![480], run(470, 9)].concat(),
+            [run(470, 8), run(460, 8), run(480, 8)].concat(),
+            [run(470, 8), run(480, 8), run(460, 8), run(470, 8)].concat(),
+        ];
+        for (i, log) in logs.iter().enumerate() {
+            let mut flatline = Flatline::EMPTY;
+            for &code in log {
+                flatline.push(code);
+            }
+            assert_eq!(
+                flatline.fraction(log.len()).to_bits(),
+                flatlined_fraction(log).to_bits(),
+                "log {i}"
             );
         }
     }

@@ -1,12 +1,11 @@
 //! The complete measurement rig: calibrated sensor + logger on one rail.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use lhr_obs::Obs;
 use lhr_power::PowerWaveform;
-use lhr_stats::Summary;
-use lhr_units::{Amperes, Seconds, Watts};
+use lhr_units::{Amperes, Seconds, Volts, Watts};
 
 use crate::adc::Adc;
 use crate::calibration::{Calibration, CalibrationError};
@@ -14,12 +13,17 @@ use crate::error::SensorError;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::hall::HallSensor;
 use crate::logger::DataLogger;
-use crate::quality::{QualityPolicy, QualityReport};
+use crate::quality::{Flatline, QualityPolicy, QualityReport};
 
 /// The mid-band reference current (amperes) the drift self-check drives
 /// through the channel: the center of the paper's 0.3-3 A calibration
 /// range.
 const SELF_CHECK_AMPS: f64 = 1.65;
+
+/// Noise samples a batched rig pass draws at a time (2 KB on the stack):
+/// each waveform then streams through the whole block with its state in
+/// registers.
+const NOISE_BLOCK: usize = 256;
 
 /// The factory calibration bench's memo. [`MeasurementRig::for_max_power`]
 /// is a pure function of `(max_power, device_seed)` -- the sensor's noise
@@ -36,27 +40,11 @@ pub struct Measurement {
     /// Average power over the run, reconstructed from the code log via
     /// the calibration fit -- the paper's per-benchmark power number.
     pub average_power: Watts,
-    /// Per-sample reconstructed power values.
-    pub samples: Vec<Watts>,
     /// The run duration (from the waveform; timing used a separate clock).
     pub duration: Seconds,
     /// Data-quality accounting for the run: yield, gaps, flatlining, and
     /// the channel's drift self-check.
     pub quality: QualityReport,
-}
-
-impl Measurement {
-    /// Summary statistics over the reconstructed samples.
-    #[must_use]
-    pub fn sample_summary(&self) -> Summary {
-        Summary::from_slice(
-            &self
-                .samples
-                .iter()
-                .map(|w| w.value())
-                .collect::<Vec<f64>>(),
-        )
-    }
 }
 
 /// A calibrated power-measurement channel for one machine.
@@ -66,6 +54,10 @@ pub struct MeasurementRig {
     adc: Adc,
     logger: DataLogger,
     calibration: Calibration,
+    /// Rail watts each ADC code reads as through `calibration`; `None`
+    /// for an uninvertible (zero-slope) fit. Rebuilt with every
+    /// calibration, never separately.
+    watts_per_code: Option<Arc<[f64]>>,
     injector: Option<FaultInjector>,
     policy: QualityPolicy,
     obs: Obs,
@@ -104,10 +96,12 @@ impl MeasurementRig {
         };
         let adc = Adc::avr_10bit();
         let calibration = Calibration::paper_procedure(&mut sensor, &adc)?;
+        let logger = DataLogger::paper_rig();
         let rig = Self {
+            watts_per_code: watts_per_code(&calibration, &adc, logger.supply()),
             sensor,
             adc,
-            logger: DataLogger::paper_rig(),
+            logger,
             calibration,
             injector: None,
             policy: QualityPolicy::default(),
@@ -168,18 +162,18 @@ impl MeasurementRig {
         &self.policy
     }
 
-    /// Measures one run: logs the waveform at 50 Hz, inverts the codes to
-    /// currents via the calibration fit, multiplies by the rail voltage,
-    /// and averages over the run (Section 2.5's procedure exactly).
+    /// Measures one run the way the paper describes it, one sample at a
+    /// time: logs the waveform at 50 Hz into a code vector, inverts each
+    /// code to a current via the calibration fit, multiplies by the rail
+    /// voltage, and averages the per-sample watts (Section 2.5). Returns
+    /// the reading and those per-sample watts.
     ///
-    /// This is the raw legacy path: it ignores any armed fault plan and
-    /// panics rather than reporting errors. [`MeasurementRig::try_measure`]
-    /// is the validating equivalent.
-    ///
-    /// The `_seed` parameter is reserved for future per-run rig noise; the
-    /// sensor already carries its own deterministic noise stream.
+    /// This is the oracle for [`MeasurementRig::measure_batch`] (as
+    /// `run_reference` is for the simulator) and the only path that keeps
+    /// per-sample data. It ignores any armed fault plan and panics on an
+    /// uninvertible calibration.
     #[must_use]
-    pub fn measure(&self, waveform: &PowerWaveform, _seed: u64) -> Measurement {
+    pub fn measure_reference(&self, waveform: &PowerWaveform) -> (Measurement, Vec<Watts>) {
         let mut sensor = self.sensor.clone();
         let codes = self.logger.log_run(waveform, &mut sensor, &self.adc);
         let quality = QualityReport::from_codes(&codes, self.drift_residual_codes(false));
@@ -195,21 +189,148 @@ impl MeasurementRig {
             })
             .collect();
         let avg = samples.iter().map(|w| w.value()).sum::<f64>() / samples.len() as f64;
-        Measurement {
+        let m = Measurement {
             average_power: Watts::new(avg),
-            samples,
             duration: waveform.duration(),
             quality,
+        };
+        (m, samples)
+    }
+
+    /// Measures several runs through the fault-free channel in one
+    /// streaming pass, returning one unaudited reading per waveform, in
+    /// order. Each reading is bit-identical to
+    /// [`MeasurementRig::measure_reference`]'s for the same waveform.
+    ///
+    /// Every run on a rig replays the same sensor-noise stream, so the
+    /// pass draws each noise sample once and applies it to every waveform
+    /// still logging at that sample. It draws a block of samples at a
+    /// time and streams each waveform through the block in turn.
+    /// Per-waveform state lives in parallel arrays, one slot per waveform:
+    /// the slice's `ideal + offset` (recomputed only when the slice's
+    /// power changes), the running watts sum (table lookups added in
+    /// sample order from the neutral element `Iterator::sum` starts from),
+    /// and the flatline accounting. Nothing is kept per sample.
+    ///
+    /// Like `measure_reference`, this ignores any armed fault plan:
+    /// [`MeasurementRig::try_measure`] is the fault-aware call. It takes
+    /// `&self`, so callers may share a fault-free rig across threads.
+    /// Readings go through [`MeasurementRig::audit`] before use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an uninvertible calibration, as `measure_reference`
+    /// does; only a recalibration around a dead channel produces one.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use lhr_power::PowerWaveform;
+    /// use lhr_sensors::MeasurementRig;
+    /// use lhr_units::{Seconds, Watts};
+    ///
+    /// let steady = |watts: f64, slices: usize| {
+    ///     let mut w = PowerWaveform::new(Seconds::from_ms(20.0));
+    ///     for _ in 0..slices {
+    ///         w.push(Watts::new(watts));
+    ///     }
+    ///     w
+    /// };
+    /// let (a, b) = (steady(26.0, 200), steady(31.0, 350));
+    /// let rig = MeasurementRig::for_max_power(Watts::new(60.0), 42)?;
+    /// let readings = rig.measure_batch(&[&a, &b]);
+    /// assert_eq!(readings[0], rig.measure_reference(&a).0);
+    /// assert_eq!(readings[1], rig.measure_reference(&b).0);
+    /// # Ok::<(), lhr_sensors::CalibrationError>(())
+    /// ```
+    #[must_use]
+    pub fn measure_batch(&self, waveforms: &[&PowerWaveform]) -> Vec<Measurement> {
+        let watts = self
+            .watts_per_code
+            .as_deref()
+            .expect("calibrated fits are invertible");
+        let supply = self.logger.supply();
+        let samples: Vec<usize> = waveforms
+            .iter()
+            .map(|w| self.logger.sample_count(w))
+            .collect();
+        let first = self.logger.sample_time(0);
+        let mut power_bits = Vec::with_capacity(waveforms.len());
+        let mut offset_ideal = Vec::with_capacity(waveforms.len());
+        for w in waveforms {
+            let p = w.power_at(first);
+            power_bits.push(p.value().to_bits());
+            offset_ideal.push(self.sensor.offset_ideal(p / supply));
         }
+        let mut sums = vec![sum_start(); waveforms.len()];
+        let mut flatlines = vec![Flatline::EMPTY; waveforms.len()];
+        let mut sensor = self.sensor.clone();
+        let mut noise = [0.0f64; NOISE_BLOCK];
+        let longest = samples.iter().copied().max().unwrap_or(0);
+        for start in (0..longest).step_by(NOISE_BLOCK) {
+            let block = &mut noise[..NOISE_BLOCK.min(longest - start)];
+            block.iter_mut().for_each(|n| *n = sensor.next_noise());
+            for (j, w) in waveforms.iter().enumerate() {
+                let mut bits = power_bits[j];
+                let mut base = offset_ideal[j];
+                let mut sum = sums[j];
+                let mut flatline = flatlines[j];
+                for (k, &noise) in (start..samples[j]).zip(block.iter()) {
+                    let p = w.power_at(self.logger.sample_time(k));
+                    if p.value().to_bits() != bits {
+                        bits = p.value().to_bits();
+                        base = self.sensor.offset_ideal(p / supply);
+                    }
+                    let code = self.adc.quantize(HallSensor::noisy(base, noise));
+                    sum += watts[usize::from(code)];
+                    flatline.push(code);
+                }
+                power_bits[j] = bits;
+                offset_ideal[j] = base;
+                sums[j] = sum;
+                flatlines[j] = flatline;
+            }
+        }
+        let drift = self.drift_residual_codes(false);
+        waveforms
+            .iter()
+            .enumerate()
+            .map(|(j, w)| {
+                let n = samples[j];
+                Measurement {
+                    average_power: Watts::new(sums[j] / n as f64),
+                    duration: w.duration(),
+                    quality: QualityReport::lossless(n, flatlines[j].fraction(n), drift),
+                }
+            })
+            .collect()
+    }
+
+    /// Audits a reading from [`MeasurementRig::measure_batch`]: reports it
+    /// to the observer and checks it against the rig's [`QualityPolicy`],
+    /// exactly as [`MeasurementRig::try_measure`] audits its own.
+    ///
+    /// # Errors
+    ///
+    /// The [`SensorError`] the policy check raises.
+    pub fn audit(&self, reading: Measurement) -> Result<Measurement, SensorError> {
+        self.note_run(&reading.quality);
+        if let Err(e) = reading.quality.check(&self.policy) {
+            self.note_rejection(&e);
+            return Err(e);
+        }
+        Ok(reading)
     }
 
     /// The validating measurement path: applies the armed fault plan (if
     /// any), audits the log against the rig's [`QualityPolicy`], and
     /// returns a typed error instead of panicking.
     ///
-    /// With no fault plan armed this delegates to the exact code path of
-    /// [`MeasurementRig::measure`]: same sensor draws, same codes, same
-    /// floating-point operations -- bit-for-bit identical results.
+    /// With no fault plan armed this is the width-1
+    /// [`MeasurementRig::measure_batch`] plus [`MeasurementRig::audit`]:
+    /// same sensor draws, same codes, same floating-point operations as
+    /// [`MeasurementRig::measure_reference`] -- bit-for-bit identical
+    /// results.
     ///
     /// # Errors
     ///
@@ -241,13 +362,8 @@ impl MeasurementRig {
         seed: u64,
     ) -> Result<Measurement, SensorError> {
         if self.injector.is_none() {
-            let m = self.measure(waveform, seed);
-            self.note_run(&m.quality);
-            if let Err(e) = m.quality.check(&self.policy) {
-                self.note_rejection(&e);
-                return Err(e);
-            }
-            return Ok(m);
+            let reading = self.measure_batch(&[waveform]).remove(0);
+            return self.audit(reading);
         }
         // A wedged logger hangs before any data moves: wall-clock time
         // only, never the measured values.
@@ -275,18 +391,16 @@ impl MeasurementRig {
             return Err(e);
         }
         let supply = self.logger.supply();
-        let mut samples = Vec::with_capacity(quality.logged_samples);
-        for code in log.iter().flatten() {
+        let mut sum = sum_start();
+        for &code in log.iter().flatten() {
             let amps = self
                 .calibration
-                .amps_from_code(*code)
-                .ok_or(SensorError::Uninvertible { code: *code })?;
-            samples.push(supply * amps);
+                .amps_from_code(code)
+                .ok_or(SensorError::Uninvertible { code })?;
+            sum += (supply * amps).value();
         }
-        let avg = samples.iter().map(|w| w.value()).sum::<f64>() / samples.len() as f64;
         Ok(Measurement {
-            average_power: Watts::new(avg),
-            samples,
+            average_power: Watts::new(sum / quality.logged_samples as f64),
             duration: waveform.duration(),
             quality,
         })
@@ -324,6 +438,7 @@ impl MeasurementRig {
         match calibration {
             Ok(calibration) => {
                 self.obs.counter("rig.recalibrations", 1);
+                self.watts_per_code = watts_per_code(&calibration, &self.adc, self.logger.supply());
                 self.calibration = calibration;
                 Ok(())
             }
@@ -373,6 +488,26 @@ impl MeasurementRig {
     }
 }
 
+/// The rail watts each code of `adc` reads as through `calibration`
+/// (`supply x amps`, as the per-sample path computes them), or `None`
+/// when the fit cannot be inverted (a zero slope fails every code).
+fn watts_per_code(calibration: &Calibration, adc: &Adc, supply: Volts) -> Option<Arc<[f64]>> {
+    (0..=adc.max_code())
+        .map(|code| {
+            calibration
+                .amps_from_code(code)
+                .map(|amps| (supply * amps).value())
+        })
+        .collect()
+}
+
+/// The neutral element `Iterator::sum` starts an `f64` sum from (`-0.0`
+/// on current toolchains, `0.0` on older ones). Streaming sums start
+/// here so they equal a collected `.sum()` bit for bit.
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,10 +526,10 @@ mod tests {
         let rig = MeasurementRig::for_max_power(Watts::new(50.0), 42).unwrap();
         let truth = 26.4;
         let w = waveform(&vec![truth; 500]);
-        let m = rig.measure(&w, 1);
+        let (m, samples) = rig.measure_reference(&w);
         let err = (m.average_power.value() - truth).abs() / truth;
         assert!(err < 0.02, "err = {err}");
-        assert_eq!(m.samples.len(), 500);
+        assert_eq!(samples.len(), 500);
         assert_eq!(m.quality.logged_samples, 500);
         assert!((m.quality.sample_yield - 1.0).abs() < 1e-12);
         assert_eq!(m.quality.gap_count, 0);
@@ -406,10 +541,11 @@ mod tests {
         let rig = MeasurementRig::for_max_power(Watts::new(50.0), 42).unwrap();
         // Square wave between 20 and 40 W: mean 30.
         let powers: Vec<f64> = (0..1000).map(|i| if i % 2 == 0 { 20.0 } else { 40.0 }).collect();
-        let m = rig.measure(&waveform(&powers), 1);
+        let (m, samples) = rig.measure_reference(&waveform(&powers));
         let err = (m.average_power.value() - 30.0).abs() / 30.0;
         assert!(err < 0.03, "err = {err}");
-        let s = m.sample_summary();
+        let watts: Vec<f64> = samples.iter().map(|w| w.value()).collect();
+        let s = lhr_stats::Summary::from_slice(&watts);
         assert!(s.stddev() > 5.0, "square wave must show spread");
     }
 
@@ -418,7 +554,7 @@ mod tests {
         // An i7-class chip peaking near 90 W needs more than 5 A at 12 V.
         let rig = MeasurementRig::for_max_power(Watts::new(130.0), 7).unwrap();
         let truth = 89.0;
-        let m = rig.measure(&waveform(&vec![truth; 500]), 1);
+        let (m, _) = rig.measure_reference(&waveform(&vec![truth; 500]));
         let err = (m.average_power.value() - truth).abs() / truth;
         assert!(err < 0.03, "err = {err}");
     }
@@ -429,7 +565,7 @@ mod tests {
         // calibration range but still within ~5%.
         let rig = MeasurementRig::for_max_power(Watts::new(4.0), 9).unwrap();
         let truth = 2.4;
-        let m = rig.measure(&waveform(&vec![truth; 500]), 1);
+        let (m, _) = rig.measure_reference(&waveform(&vec![truth; 500]));
         let err = (m.average_power.value() - truth).abs() / truth;
         assert!(err < 0.06, "err = {err}");
     }
@@ -438,18 +574,20 @@ mod tests {
     fn measurement_is_deterministic() {
         let rig = MeasurementRig::for_max_power(Watts::new(50.0), 42).unwrap();
         let w = waveform(&vec![25.0; 200]);
-        assert_eq!(rig.measure(&w, 1), rig.measure(&w, 1));
+        assert_eq!(rig.measure_reference(&w), rig.measure_reference(&w));
+        let (one, _) = rig.measure_reference(&w);
+        assert_eq!(rig.measure_batch(&[&w, &w]), [one.clone(), one]);
     }
 
     #[test]
     fn different_rigs_agree_after_calibration() {
         let w = waveform(&vec![30.0; 400]);
-        let a = MeasurementRig::for_max_power(Watts::new(50.0), 1)
+        let (a, _) = MeasurementRig::for_max_power(Watts::new(50.0), 1)
             .unwrap()
-            .measure(&w, 1);
-        let b = MeasurementRig::for_max_power(Watts::new(50.0), 2)
+            .measure_reference(&w);
+        let (b, _) = MeasurementRig::for_max_power(Watts::new(50.0), 2)
             .unwrap()
-            .measure(&w, 1);
+            .measure_reference(&w);
         let diff = (a.average_power.value() - b.average_power.value()).abs() / 30.0;
         assert!(diff < 0.02, "rig disagreement {diff}");
     }
@@ -458,7 +596,7 @@ mod tests {
     fn try_measure_without_faults_is_bit_identical_to_measure() {
         let rig = MeasurementRig::for_max_power(Watts::new(50.0), 42).unwrap();
         let w = waveform(&vec![26.4; 500]);
-        let legacy = rig.measure(&w, 17);
+        let (legacy, _) = rig.measure_reference(&w);
         let mut validating = rig.clone();
         let m = validating.try_measure(&w, 17).expect("clean rig accepts");
         assert_eq!(legacy, m);
@@ -621,7 +759,7 @@ mod tests {
 
         let clean = MeasurementRig::for_max_power(Watts::new(50.0), 42).unwrap();
         let w = waveform(&vec![26.4; 300]);
-        let reference = clean.measure(&w, 5);
+        let (reference, _) = clean.measure_reference(&w);
         let mut wedged = clean.with_fault_plan(FaultPlan::new(4).with_stall(Stall::transient(1, 0.05)));
         let t0 = std::time::Instant::now();
         let stalled = wedged.try_measure(&w, 5).expect("a stall is not a data fault");
@@ -629,13 +767,12 @@ mod tests {
             t0.elapsed() >= std::time::Duration::from_millis(50),
             "first run must hang for the stall duration"
         );
-        assert_eq!(reference.average_power, stalled.average_power);
-        assert_eq!(reference.samples, stalled.samples);
+        assert_eq!(reference, stalled);
         // The wedge has cleared: the second run is fast.
         let t1 = std::time::Instant::now();
         let healed = wedged.try_measure(&w, 5).expect("recovered logger accepts");
         assert!(t1.elapsed() < std::time::Duration::from_millis(50));
-        assert_eq!(reference.samples, healed.samples);
+        assert_eq!(reference, healed);
     }
 
     #[test]
@@ -649,6 +786,6 @@ mod tests {
         assert!(m.quality.sample_yield < 1.0);
         assert!(m.quality.sample_yield > 0.6);
         assert!(m.quality.gap_count > 0);
-        assert_eq!(m.samples.len(), m.quality.logged_samples);
+        assert!(m.quality.logged_samples < m.quality.expected_samples);
     }
 }

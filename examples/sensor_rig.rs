@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example sensor_rig`
 
 use lhr::sensors::{Adc, Calibration, HallSensor, MeasurementRig};
+use lhr::stats::Summary;
 use lhr::uarch::{ChipConfig, ChipSimulator, ProcessorId};
 use lhr::units::Watts;
 use lhr::workloads::by_name;
@@ -35,18 +36,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = ChipSimulator::new().run(&config, &workload, 7);
 
     let rig = MeasurementRig::for_max_power(Watts::new(config.spec().power.tdp_w), 0xBEEF)?;
-    let measured = rig.measure(&run.waveform, 1);
+    let (measured, samples) = rig.measure_reference(&run.waveform);
 
     // --- 3. Compare ground truth (the simulator knows it) to the rig.
     let truth = run.average_power();
     let err = (measured.average_power.value() - truth.value()).abs() / truth.value();
     println!();
     println!("run duration      : {}", measured.duration);
-    println!("samples at 50 Hz  : {}", measured.samples.len());
+    println!("samples at 50 Hz  : {}", samples.len());
     println!("true average power: {:.2}", truth);
     println!("rig-measured power: {:.2}", measured.average_power);
     println!("measurement error : {:.2}%", err * 100.0);
     println!();
-    println!("sample statistics : {}", measured.sample_summary());
+    let watts: Vec<f64> = samples.iter().map(|w| w.value()).collect();
+    println!("sample statistics : {}", Summary::from_slice(&watts));
     Ok(())
 }

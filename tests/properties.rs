@@ -215,7 +215,7 @@ proptest! {
         }
         let rig = MeasurementRig::for_max_power(Watts::new(50.0), device_seed)
             .expect("calibration converges");
-        let baseline = rig.measure(&w, run_seed);
+        let (baseline, _) = rig.measure_reference(&w);
         let mut armed = rig.with_fault_plan(FaultPlan::new(plan_seed));
         let validated = armed.try_measure(&w, run_seed).expect("clean channel accepts");
         prop_assert_eq!(baseline, validated);
