@@ -30,21 +30,15 @@ fn bench_cache_access(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-    group.bench_function("miss_rate_estimation_cold", |b| {
-        let mut salt = 0u64;
-        b.iter(|| {
-            // Vary the profile so memoization does not short-circuit.
-            salt += 1;
-            let p = LocalityProfile::hierarchical(
-                32 << 10,
-                256 << 10,
-                (4 << 20) + salt * 4096,
-                0.7,
-                0.2,
-            );
-            let est = MissRateEstimator::new();
-            std::hint::black_box(est.global_miss_rate(&p, 256 << 10))
-        });
+    group.finish();
+    // Twin of `lhr_perf`'s `interval_core/cold_miss_rate`: one estimate
+    // on a fresh estimator, jess's first phase at 256 KiB.
+    let mut group = c.benchmark_group("interval_core");
+    group.sample_size(30);
+    let jess = by_name("jess").unwrap();
+    let locality = *jess.trace().phases()[0].locality();
+    group.bench_function("cold_miss_rate", |b| {
+        b.iter(|| std::hint::black_box(MissRateEstimator::new().global_miss_rate(&locality, 256 << 10)));
     });
     group.finish();
 }

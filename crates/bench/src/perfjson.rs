@@ -15,7 +15,7 @@
 //! | layer id prefix     | what it times                                  |
 //! |---------------------|------------------------------------------------|
 //! | `trace_gen`         | workload-descriptor → software-thread traces   |
-//! | `interval_core`     | the interval model (`phase_performance`)       |
+//! | `interval_core`     | the interval model (`phase_performance`) and one cold miss-rate estimate |
 //! | `energy_integration`| per-slice energy metering + waveform append    |
 //! | `adc_sensor`        | the validating rig pass, one run and a batch of 3 |
 //! | `cell_e2e`          | one uncached `(config, workload)` cell         |
@@ -452,7 +452,7 @@ pub fn time_layer(
 #[must_use]
 #[allow(clippy::missing_panics_doc)] // catalog lookups of known names
 pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
-    let mut layers = Vec::with_capacity(7);
+    let mut layers = Vec::with_capacity(9);
 
     // trace-gen: workload descriptor -> placed software threads, the
     // front of the pipeline (trace clones + VM service synthesis).
@@ -496,6 +496,17 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
         layers.push(stat);
         ns_per_interval
     };
+
+    // cold miss rate: one sampled estimate on a fresh estimator, the
+    // cost a cold process pays for each new (locality, capacity) pair --
+    // jess's first phase at the largest unscaled array (256 KiB).
+    {
+        let jess = by_name("jess").expect("catalog workload");
+        let locality = *jess.trace().phases()[0].locality();
+        layers.push(time_layer("interval_core/cold_miss_rate", "interval_core", cfg, || {
+            std::hint::black_box(MissRateEstimator::new().global_miss_rate(&locality, 256 << 10));
+        }));
+    }
 
     // energy integration: per-slice activity metering and waveform
     // append, the simulator's inner accounting step.
@@ -940,6 +951,7 @@ mod tests {
             groups,
             [
                 "trace_gen",
+                "interval_core",
                 "interval_core",
                 "energy_integration",
                 "adc_sensor",

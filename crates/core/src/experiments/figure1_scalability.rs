@@ -49,17 +49,21 @@ pub fn run(harness: &Harness) -> Vec<Scalability> {
         .expect("smt off is valid")
         .with_turbo(false)
         .expect("i7 has turbo");
+    let cells: Vec<(&ChipConfig, &Workload)> = PAPER_SPEEDUPS
+        .iter()
+        .flat_map(|&(name, _)| {
+            let w: &Workload = by_name(name).expect("Figure 1 benchmarks exist");
+            [(&single, w), (&full, w)]
+        })
+        .collect();
+    let measured = harness.measure_all(&cells);
     PAPER_SPEEDUPS
         .iter()
-        .map(|&(name, paper)| {
-            let w: &Workload = by_name(name).expect("Figure 1 benchmarks exist");
-            let t1 = harness.measure(&single, w).seconds().value();
-            let t8 = harness.measure(&full, w).seconds().value();
-            Scalability {
-                name,
-                speedup: t1 / t8,
-                paper,
-            }
+        .zip(measured.chunks(2))
+        .map(|(&(name, paper), pair)| Scalability {
+            name,
+            speedup: pair[0].seconds().value() / pair[1].seconds().value(),
+            paper,
         })
         .collect()
 }

@@ -7,7 +7,7 @@
 //! DTLB misses when the collector stops displacing application state.
 
 use lhr_uarch::{ChipConfig, ProcessorId};
-use lhr_workloads::by_name;
+use lhr_workloads::{by_name, Workload};
 
 use crate::harness::Harness;
 use crate::report::Table;
@@ -49,17 +49,21 @@ pub fn run(harness: &Harness) -> Vec<JvmCmpGain> {
         .expect("turbo off");
     let one = base.clone().with_cores(1).expect("1 core");
     let two = base.with_cores(2).expect("2 cores");
+    let cells: Vec<(&ChipConfig, &Workload)> = PAPER_SPEEDUPS
+        .iter()
+        .flat_map(|&(name, _)| {
+            let w = by_name(name).expect("Figure 6 benchmarks exist");
+            [(&one, w), (&two, w)]
+        })
+        .collect();
+    let measured = harness.measure_all(&cells);
     PAPER_SPEEDUPS
         .iter()
-        .map(|&(name, paper)| {
-            let w = by_name(name).expect("Figure 6 benchmarks exist");
-            let t1 = harness.measure(&one, w).seconds().value();
-            let t2 = harness.measure(&two, w).seconds().value();
-            JvmCmpGain {
-                name,
-                speedup: t1 / t2,
-                paper,
-            }
+        .zip(measured.chunks(2))
+        .map(|(&(name, paper), pair)| JvmCmpGain {
+            name,
+            speedup: pair[0].seconds().value() / pair[1].seconds().value(),
+            paper,
         })
         .collect()
 }

@@ -10,11 +10,12 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use lhr_obs::Obs;
+use lhr_obs::{context, Obs};
 use lhr_stats::arithmetic_mean;
 use lhr_uarch::ChipConfig;
 use lhr_workloads::{catalog, Group, Workload};
@@ -361,10 +362,11 @@ impl Harness {
         self
     }
 
-    /// Caps the number of worker threads a cell evaluation (and any
-    /// supervisor built over this harness) may use. Thread count never
-    /// affects a measured value -- every invocation's seed is a pure
-    /// function of its cell -- only wall-clock time.
+    /// Caps the number of worker threads a cell evaluation, the
+    /// reference set, [`Harness::measure_all`] (and any supervisor built
+    /// over this harness) may use. Thread count never affects a measured
+    /// value -- every invocation's seed is a pure function of its cell --
+    /// only wall-clock time.
     ///
     /// # Panics
     ///
@@ -430,7 +432,11 @@ impl Harness {
     pub fn try_reference(&self) -> Result<ReferenceSet, MeasureError> {
         let mut guard = self.reference.lock();
         if guard.is_none() {
-            *guard = Some(ReferenceSet::try_compute(&self.runner, &self.workloads)?);
+            *guard = Some(ReferenceSet::try_compute_on(
+                &self.runner,
+                &self.workloads,
+                self.jobs,
+            )?);
         }
         Ok(guard.clone().expect("just computed"))
     }
@@ -439,6 +445,29 @@ impl Harness {
     #[must_use]
     pub fn measure(&self, config: &ChipConfig, workload: &Workload) -> RunMeasurement {
         self.runner.measure(config, workload)
+    }
+
+    /// Raw measurements of many cells, in input order, taken on the
+    /// harness's workers (see [`Harness::with_jobs`]): the values a loop
+    /// of [`Harness::measure`] calls would return. A machine with an
+    /// armed fault plan is measured by one worker in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first failed measurement in input order, as that
+    /// loop would.
+    #[must_use]
+    pub fn measure_all(&self, cells: &[(&ChipConfig, &Workload)]) -> Vec<RunMeasurement> {
+        self.runner
+            .try_measure_cells(self.jobs, cells)
+            .into_iter()
+            .map(|outcome| {
+                match outcome.expect("a faulted machine stops only after an earlier failure") {
+                    Ok(m) => m,
+                    Err(e) => panic!("measurement failed: {e}"),
+                }
+            })
+            .collect()
     }
 
     /// Evaluates a single `(configuration, workload)` cell: one
@@ -518,51 +547,30 @@ impl Harness {
                 };
             }
         };
-        let n = self.workloads.len();
-        type Slot = Option<Result<(Evaluation, MeasureHealth), MeasureError>>;
-        let results: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let threads = self
-            .jobs
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(4)
-            })
-            .min(n);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let w = self.workloads[i];
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        self.runner.try_measure(config, w)
-                    }))
-                    .unwrap_or_else(|panic| {
-                        let message = panic_message(&panic);
-                        let obs = self.runner.observer();
-                        obs.counter("sweep.worker_panics", 1);
-                        if obs.enabled() {
-                            obs.mark("sweep.worker_panic", &message);
-                        }
-                        Err(MeasureError {
-                            workload: Some(w.name()),
-                            config: config.label(),
-                            kind: MeasureErrorKind::WorkerPanic(message),
-                        })
-                    })
-                    .map(|(measurement, health)| (normalize(&refs, measurement), health));
-                    *results[i].lock() = Some(outcome);
-                });
-            }
+        let outcomes = fan_out(self.jobs, self.runner.observer(), self.workloads.len(), |i| {
+            self.runner
+                .try_measure(config, self.workloads[i])
+                .map(|(measurement, health)| (normalize(&refs, measurement), health))
         });
         let mut health = CellHealth::default();
-        let evaluations: Vec<Result<Evaluation, MeasureError>> = results
+        let evaluations: Vec<Result<Evaluation, MeasureError>> = outcomes
             .into_iter()
-            .map(|m| m.into_inner().expect("all indices evaluated"))
+            .zip(&self.workloads)
+            .map(|(outcome, w)| {
+                outcome.unwrap_or_else(|panic| {
+                    let message = panic_message(&*panic);
+                    let obs = self.runner.observer();
+                    obs.counter("sweep.worker_panics", 1);
+                    if obs.enabled() {
+                        obs.mark("sweep.worker_panic", &message);
+                    }
+                    Err(MeasureError {
+                        workload: Some(w.name()),
+                        config: config.label(),
+                        kind: MeasureErrorKind::WorkerPanic(message),
+                    })
+                })
+            })
             .map(|outcome| match outcome {
                 Ok((eval, h)) => {
                     health.absorb(&h);
@@ -660,6 +668,49 @@ fn normalize(refs: &ReferenceSet, measurement: RunMeasurement) -> Evaluation {
         perf_norm,
         energy_norm,
     }
+}
+
+/// Runs `task(i)` for every `i` in `0..n` on up to `jobs` scoped workers
+/// (`None`: the machine's available parallelism) that pull indices from
+/// a shared counter, and returns each outcome in index order. A task
+/// that panics yields its payload as the `Err`. With an armed observer,
+/// the workers carry the caller's trace context.
+pub(crate) fn fan_out<T: Send>(
+    jobs: Option<usize>,
+    obs: &Obs,
+    n: usize,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<std::thread::Result<T>> {
+    let threads = jobs
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(4)
+        })
+        .min(n);
+    let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        *slots[i].lock() = Some(catch_unwind(AssertUnwindSafe(|| task(i))));
+    };
+    let ctx = obs.enabled().then(context::capture);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| match ctx {
+                Some(ctx) => context::with_ctx(ctx, work),
+                None => work(),
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index ran"))
+        .collect()
 }
 
 /// Best-effort extraction of a panic payload's message.

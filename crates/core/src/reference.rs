@@ -50,6 +50,10 @@ impl ReferenceSet {
     /// whole normalization (Section 2.6 averages over exactly four
     /// machines), so any failure here fails the set.
     ///
+    /// The cells are measured on the machine's available parallelism;
+    /// the result, and the error, are those of a serial pass in
+    /// (workload, machine) order.
+    ///
     /// # Errors
     ///
     /// The first [`MeasureError`] hit on any reference machine.
@@ -57,15 +61,35 @@ impl ReferenceSet {
         runner: &Runner,
         workloads: &[&'static Workload],
     ) -> Result<Self, MeasureError> {
+        Self::try_compute_on(runner, workloads, None)
+    }
+
+    /// [`ReferenceSet::try_compute`] on up to `jobs` workers (`None`:
+    /// available parallelism). Means sum in (workload, machine) order,
+    /// and the error returned is the first in that order.
+    pub(crate) fn try_compute_on(
+        runner: &Runner,
+        workloads: &[&'static Workload],
+        jobs: Option<usize>,
+    ) -> Result<Self, MeasureError> {
+        let machines = REFERENCE_PROCESSORS.map(|id| ChipConfig::stock(id.spec()));
+        let cells: Vec<(&ChipConfig, &Workload)> = workloads
+            .iter()
+            .flat_map(|&w| machines.iter().map(move |config| (config, w)))
+            .collect();
+        let mut outcomes = runner.try_measure_cells(jobs, &cells).into_iter();
         let mut seconds = HashMap::new();
         let mut joules = HashMap::new();
         for w in workloads {
-            let mut times = Vec::with_capacity(4);
-            let mut powers = Vec::with_capacity(4);
-            for id in REFERENCE_PROCESSORS {
-                let (m, _) = runner.try_measure(&ChipConfig::stock(id.spec()), w)?;
-                times.push(m.seconds().value());
-                powers.push(m.watts().value());
+            let mut times = [0.0; 4];
+            let mut powers = [0.0; 4];
+            for (time, power) in times.iter_mut().zip(&mut powers) {
+                let m = outcomes
+                    .next()
+                    .flatten()
+                    .expect("a faulted machine stops only after an earlier failure")?;
+                *time = m.seconds().value();
+                *power = m.watts().value();
             }
             let avg_time = times.iter().sum::<f64>() / 4.0;
             let avg_power = powers.iter().sum::<f64>() / 4.0;

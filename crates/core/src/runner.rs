@@ -37,6 +37,7 @@ use lhr_workloads::{Group, Workload};
 
 use crate::cache::{CellCache, CellKey, UnboundedCache};
 use crate::error::{MeasureError, MeasureErrorKind, MeasureHealth, RunnerHealth};
+use crate::harness::fan_out;
 
 /// Default number of extra invocations a measurement may spend on
 /// retries before giving up.
@@ -384,6 +385,57 @@ impl Runner {
             }
         }
         result
+    }
+
+    /// Measures many cells on up to `jobs` workers (`None`: available
+    /// parallelism), returning each cell's outcome in input order.
+    ///
+    /// A machine with an armed fault plan has all its cells measured by
+    /// one worker, in input order, up to its first failure: its
+    /// injector's state depends on call order, so each of its cells sees
+    /// the rig a serial loop would show it. Its cells after that failure
+    /// are `None`. A panic in a cell resumes on the caller once every
+    /// worker has stopped.
+    pub(crate) fn try_measure_cells(
+        &self,
+        jobs: Option<usize>,
+        cells: &[(&ChipConfig, &Workload)],
+    ) -> Vec<Option<Result<RunMeasurement, MeasureError>>> {
+        // A unit is one cell, or every cell of a faulted machine.
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut chains: HashMap<ProcessorId, usize> = HashMap::new();
+        for (i, (config, _)) in cells.iter().enumerate() {
+            let id = config.spec().id;
+            if !self.fault_plans.contains_key(&id) {
+                units.push(vec![i]);
+                continue;
+            }
+            let unit = *chains.entry(id).or_insert_with(|| {
+                units.push(Vec::new());
+                units.len() - 1
+            });
+            units[unit].push(i);
+        }
+        let outcomes = fan_out(jobs, &self.obs, units.len(), |u| {
+            let mut measured = Vec::with_capacity(units[u].len());
+            for &i in &units[u] {
+                let (config, workload) = cells[i];
+                let outcome = self.try_measure(config, workload).map(|(m, _)| m);
+                let failed = outcome.is_err();
+                measured.push((i, outcome));
+                if failed {
+                    break;
+                }
+            }
+            measured
+        });
+        let mut results: Vec<_> = cells.iter().map(|_| None).collect();
+        for outcome in outcomes {
+            for (i, measured) in outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic)) {
+                results[i] = Some(measured);
+            }
+        }
+        results
     }
 
     /// Pre-seeds the measurement cache with a previously recorded result

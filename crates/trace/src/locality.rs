@@ -170,6 +170,12 @@ impl LocalityProfile {
         self.pointer_chase
     }
 
+    /// The sequential stride (bytes) of the cold tier.
+    #[must_use]
+    pub fn stream_stride(&self) -> u64 {
+        self.stream_stride
+    }
+
     /// Number of distinct pages the footprint spans, for TLB modelling.
     #[must_use]
     pub fn page_working_set(&self, page_bytes: u64) -> u64 {
@@ -359,6 +365,8 @@ mod tests {
         assert_eq!(p.hot_fraction(), 0.1);
         assert_eq!(p.warm_fraction(), 0.2);
         assert_eq!(p.pointer_chase(), 0.7);
+        assert_eq!(p.stream_stride(), 64);
+        assert_eq!(p.with_stream_stride(8).stream_stride(), 8);
     }
 
     #[test]

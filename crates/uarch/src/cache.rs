@@ -12,8 +12,14 @@
 //! caches are scaled down together with the footprint (miss rates depend on
 //! the capacity/working-set ratio, not absolute sizes), which keeps warmup
 //! and sample cost bounded; results are memoized.
+//!
+//! The estimator's array is a private recency-ordered kernel rather than
+//! the general [`Cache`]; [`simulate_miss_rate_reference`] drives the same
+//! stream through [`Cache`] and is the oracle the kernel is tested
+//! against, bit for bit.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 use lhr_trace::{LocalityProfile, SplitMix64};
@@ -157,19 +163,58 @@ impl Cache {
     }
 }
 
+/// Multiply-xor folding hasher for the memos' fixed-width `u64`-array
+/// keys (this estimator's and the chip simulator's phase memo): the
+/// default SipHash costs more than the lookup it guards. Collisions only
+/// cost a probe -- the maps store full keys -- so a weak-but-fast hash is
+/// safe here.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Integer-slice hashing funnels the whole key through one `write`
+        // call, so fold eight bytes per multiply, not one.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
 /// Sampling parameters for miss-rate estimation.
 const TARGET_MAX_LINES: u64 = 4096;
 const WARMUP_FACTOR: u64 = 4;
 const SAMPLE_ACCESSES: u64 = 24_576;
+/// Line size and associativity of the sampled array.
+const LINE: u64 = 64;
+const WAYS: usize = 8;
+
+/// Memo key: every field of the profile the address stream reads, raw,
+/// then the capacity.
+type EstimateKey = [u64; 8];
 
 /// Memoized sampled-simulation miss-rate estimator.
 ///
 /// Shared across the whole process: miss rates are pure functions of
-/// (locality profile, capacity, line size), so a global memo is sound and
-/// keeps full 61-benchmark x 45-configuration sweeps fast.
+/// (locality profile, capacity), so a global memo is sound and keeps full
+/// 61-benchmark x 45-configuration sweeps fast.
 #[derive(Debug, Default)]
 pub struct MissRateEstimator {
-    memo: Mutex<HashMap<(u64, u64, u64), f64>>,
+    memo: Mutex<HashMap<EstimateKey, f64, BuildHasherDefault<KeyHasher>>>,
 }
 
 impl MissRateEstimator {
@@ -194,7 +239,18 @@ impl MissRateEstimator {
     /// Panics if `capacity_bytes` is zero.
     pub fn global_miss_rate(&self, locality: &LocalityProfile, capacity_bytes: u64) -> f64 {
         assert!(capacity_bytes > 0, "capacity must be positive");
-        let key = (locality_key(locality), capacity_bytes, 64);
+        // Keyed on the raw fields, not on `locality_key`: that hash omits
+        // the stride, which the address stream reads.
+        let key = [
+            locality.hot_bytes(),
+            locality.warm_bytes(),
+            locality.footprint_bytes(),
+            locality.hot_fraction().to_bits(),
+            locality.warm_fraction().to_bits(),
+            locality.pointer_chase().to_bits(),
+            locality.stream_stride(),
+            capacity_bytes,
+        ];
         if let Some(&rate) = self.memo.lock().expect("estimator lock").get(&key) {
             return rate;
         }
@@ -207,7 +263,9 @@ impl MissRateEstimator {
     }
 }
 
-/// A stable hash of the locality profile's defining fields.
+/// A stable hash of the locality profile's defining fields: the seed of
+/// the sampled address stream. It omits the stride, so it is not a memo
+/// key; it stays as it is because every estimate's stream derives from it.
 fn locality_key(l: &LocalityProfile) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -223,22 +281,84 @@ fn locality_key(l: &LocalityProfile) -> u64 {
     h
 }
 
-/// Runs the sampled simulation, scaling big caches (and the footprint with
-/// them) down so the array stays small and warmup stays cheap.
-fn simulate_miss_rate(locality: &LocalityProfile, capacity_bytes: u64) -> f64 {
-    const LINE: u64 = 64;
+/// The sampled array's capacity and the profile it runs: big caches (and
+/// the footprint with them) are scaled down so the array stays small and
+/// warmup stays cheap; small ones are rounded to whole 8-way sets.
+fn sampled_cache(locality: &LocalityProfile, capacity_bytes: u64) -> (u64, LocalityProfile) {
     let lines = capacity_bytes / LINE;
     let (capacity, profile) = if lines > TARGET_MAX_LINES {
         let factor = TARGET_MAX_LINES as f64 / lines as f64;
         (TARGET_MAX_LINES * LINE, locality.scaled(factor))
     } else {
-        (capacity_bytes.max(LINE * 8), *locality)
+        (capacity_bytes, *locality)
     };
-    // Keep at least direct-mapped-8 geometry; use 8-way like real L2/LLCs.
-    let ways = 8usize;
-    let size = capacity.max(LINE * ways as u64);
-    let size = size - size % (LINE * ways as u64);
-    let mut cache = Cache::new(CacheGeometry::new(size.max(LINE * ways as u64), ways, LINE));
+    // Keep at least one 8-way set; use 8-way like real L2/LLCs.
+    let set_bytes = LINE * WAYS as u64;
+    let size = capacity.max(set_bytes);
+    (size - size % set_bytes, profile)
+}
+
+/// The estimator's kernel: the stream, warm-up and sample of
+/// [`simulate_miss_rate_reference`] through a private 8-way LRU array.
+///
+/// Each set is its tags in recency order: a hit moves its tag to the
+/// front, a miss inserts at the front and drops the last. LRU hits and
+/// misses depend only on which lines a set holds, never on which way
+/// holds them, so this array hits and misses exactly where [`Cache`]
+/// does. A set's tag is the whole line number (unique within the set),
+/// and the set index is a mask when the set count is a power of two.
+fn simulate_miss_rate(locality: &LocalityProfile, capacity_bytes: u64) -> f64 {
+    let (size, profile) = sampled_cache(locality, capacity_bytes);
+    let sets = size / (LINE * WAYS as u64);
+    let mask = sets.is_power_of_two().then(|| sets - 1);
+    let mut tags = vec![[u64::MAX; WAYS]; sets as usize];
+    // Returns whether the access hit.
+    let mut access = |addr: u64| {
+        let line = addr / LINE;
+        let set = match mask {
+            Some(mask) => line & mask,
+            None => line % sets,
+        };
+        let ways = &mut tags[set as usize];
+        let mut carry = line;
+        for way in ways.iter_mut() {
+            let held = std::mem::replace(way, carry);
+            if held == line {
+                return true;
+            }
+            carry = held;
+        }
+        false
+    };
+
+    let mut rng = SplitMix64::new(0x5eed_cafe ^ locality_key(&profile));
+    profile
+        .address_stream(&mut rng)
+        .take(((size / LINE) * WARMUP_FACTOR) as usize)
+        .for_each(|a| {
+            access(a);
+        });
+    let mut rng2 = rng.split(1);
+    let misses = profile
+        .address_stream(&mut rng2)
+        .take(SAMPLE_ACCESSES as usize)
+        .filter(|&a| !access(a))
+        .count();
+    misses as f64 / SAMPLE_ACCESSES as f64
+}
+
+/// The estimator's oracle: the sampled simulation through the general
+/// [`Cache`], one access at a time. The estimator returns exactly -- to
+/// the bit -- what this returns for the same profile and capacity.
+///
+/// # Panics
+///
+/// Panics if `capacity_bytes` is zero.
+#[must_use]
+pub fn simulate_miss_rate_reference(locality: &LocalityProfile, capacity_bytes: u64) -> f64 {
+    assert!(capacity_bytes > 0, "capacity must be positive");
+    let (size, profile) = sampled_cache(locality, capacity_bytes);
+    let mut cache = Cache::new(CacheGeometry::new(size, WAYS, LINE));
 
     let mut rng = SplitMix64::new(0x5eed_cafe ^ locality_key(&profile));
     let warm_accesses = (size / LINE) * WARMUP_FACTOR;
@@ -407,6 +527,22 @@ mod tests {
         let a = est.global_miss_rate(&loc, 32 << 10);
         let b = est.global_miss_rate(&loc, 32 << 10);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn memo_distinguishes_profiles_that_differ_only_in_stride() {
+        // The stride is read by the address stream but not hashed into
+        // the stream's seed: an estimator warmed on one stride must not
+        // answer for another.
+        let unit = LocalityProfile::streaming(8 << 20);
+        let sparse = unit.with_stream_stride(8);
+        let est = MissRateEstimator::new();
+        let warm_unit = est.global_miss_rate(&unit, 32 << 10);
+        let warm_sparse = est.global_miss_rate(&sparse, 32 << 10);
+        let fresh_sparse = MissRateEstimator::new().global_miss_rate(&sparse, 32 << 10);
+        assert_eq!(warm_sparse.to_bits(), fresh_sparse.to_bits());
+        assert_eq!(warm_unit, 1.0, "unit-stride streaming misses every line");
+        assert!(fresh_sparse < 0.2, "eight words per line: {fresh_sparse}");
     }
 
     #[test]

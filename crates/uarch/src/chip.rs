@@ -11,7 +11,7 @@
 //! `lhr-sensors` later samples at 50 Hz, mirroring the paper's rig.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use lhr_power::{
@@ -22,7 +22,7 @@ use lhr_trace::{Rng64, SplitMix64};
 use lhr_units::{Joules, Seconds, Volts, Watts};
 use lhr_workloads::{SoftwareThread, ThreadRole, Workload};
 
-use crate::cache::MissRateEstimator;
+use crate::cache::{KeyHasher, MissRateEstimator};
 use crate::config::ChipConfig;
 use crate::interval::{phase_performance, Environment, PhasePerf};
 
@@ -118,11 +118,10 @@ type PerfMemoKey = (usize, u64, u64, u64, u64, u32);
 /// phase, and the environment. Keying on the full input set (rather than
 /// a processor id) keeps the memo sound for hand-built specs and
 /// synthetic phases: two keys are equal exactly when the interval model
-/// is handed bit-identical inputs. `stream_stride` is deliberately
-/// absent -- neither the analytic TLB model nor the miss-rate
-/// estimator's memo key distinguishes it, so it cannot change the
-/// result the estimator-backed computation returns within a process.
-type GlobalPerfKey = [u64; 32];
+/// is handed bit-identical inputs. `stream_stride` is part of it: the
+/// analytic TLB model ignores it, but the miss-rate estimator's address
+/// stream reads it.
+type GlobalPerfKey = [u64; 33];
 
 fn global_perf_key(
     spec: &crate::catalog::ProcessorSpec,
@@ -166,42 +165,12 @@ fn global_perf_key(
         loc.hot_fraction().to_bits(),
         loc.warm_fraction().to_bits(),
         loc.pointer_chase().to_bits(),
+        loc.stream_stride(),
         env.clock.value().to_bits(),
         env.private_cache_share.to_bits(),
         env.llc_bytes_eff,
         env.displacement.to_bits(),
     ]
-}
-
-/// Multiply-xor folding hasher for the fixed-width [`GlobalPerfKey`]:
-/// the default SipHash costs more than the interval-model arithmetic it
-/// would be saving. Collisions only cost a probe -- the map stores full
-/// keys -- so a weak-but-fast hash is safe here.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Integer-slice hashing funnels the whole key through one `write`
-        // call, so fold eight bytes per multiply, not one.
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
 }
 
 /// Process-global memo over [`phase_performance`].
@@ -1254,6 +1223,27 @@ mod tests {
     /// A scaled-down workload clone for fast tests.
     fn small(name: &str) -> Workload {
         by_name(name).expect("benchmark exists").clone()
+    }
+
+    #[test]
+    fn phase_memo_distinguishes_the_stream_stride() {
+        // Two phases that differ only in their cold tier's stride have
+        // different miss rates, so they must not share a memo entry.
+        let spec = ProcessorId::CoreI7_920.spec();
+        let env = Environment::solo(spec, spec.base_clock);
+        for stride in [64, 8] {
+            let locality = lhr_trace::LocalityProfile::streaming(40 << 20).with_stream_stride(stride);
+            let phase = lhr_trace::Phase::new(
+                "sweep",
+                1.0,
+                lhr_trace::InstructionMix::typical_int(),
+                2.0,
+                locality,
+            );
+            let fresh = phase_performance(spec, &phase, &env, &MissRateEstimator::new());
+            let cached = cached_phase_performance(spec, &phase, &env, MissRateEstimator::global());
+            assert_eq!(cached, fresh, "stride {stride}");
+        }
     }
 
     #[test]

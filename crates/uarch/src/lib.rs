@@ -39,7 +39,7 @@ pub mod config;
 pub mod interval;
 pub mod predictor;
 
-pub use cache::{Cache, CacheGeometry, MissRateEstimator, Tlb};
+pub use cache::{simulate_miss_rate_reference, Cache, CacheGeometry, MissRateEstimator, Tlb};
 pub use catalog::{processors, processors_45nm, CoreParams, MemorySystem, Microarch, PowerParams, ProcessorId, ProcessorSpec};
 pub use chip::{ChipSimulator, RunResult, SimScratch};
 pub use config::{ChipConfig, ConfigError};
