@@ -1,193 +1,5 @@
-//! Crash-safe artifact writes and content checksums for `repro_out/`.
-//!
-//! Every file a regenerator bin produces goes through [`write_atomic`]:
-//! the bytes land in a temp file in the same directory, are fsynced,
-//! and only then renamed over the destination (with a directory fsync
-//! to persist the rename itself). A crash at any instant leaves either
-//! the old complete file or the new complete file -- never a torn one.
-//! This mirrors how the paper's multi-day campaign protected its data:
-//! a power cut at hour 40 must not cost the first 39.
+//! Crash-safe artifact writes and content checksums for `repro_out/`,
+//! re-exported from their home in [`lhr_obs::sealed`] under the paths
+//! the end-to-end benchmark imports.
 
-use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
-
-/// FNV-1a 64 content checksum (the same mix the measurement cache uses
-/// for workload fingerprints), rendered by the campaign journal as
-/// 16 hex digits.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same
-/// directory, fsync, rename, directory fsync. Interrupting the process
-/// at any point leaves the previous contents of `path` (if any) intact.
-///
-/// # Errors
-///
-/// Any I/O error from creating, writing, syncing, or renaming; on
-/// error the destination is untouched and the temp file is removed
-/// best-effort.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_atomic_hooked(path, bytes, |_| Ok(()))
-}
-
-/// [`write_atomic`] with a fault hook run between the temp-file fsync
-/// and the rename -- the unit tests' stand-in for a crash at the worst
-/// possible instant.
-fn write_atomic_hooked(
-    path: &Path,
-    bytes: &[u8],
-    before_rename: impl FnOnce(&Path) -> io::Result<()>,
-) -> io::Result<()> {
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = dir.join(format!(
-        ".{}.tmp.{}",
-        name.to_string_lossy(),
-        std::process::id()
-    ));
-    let result = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        drop(f);
-        before_rename(&tmp)?;
-        fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-        return result;
-    }
-    // Persist the rename: fsync the containing directory. Failure here
-    // is not fatal to correctness of the visible file, so best-effort.
-    if let Ok(d) = fs::File::open(&dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// One entry of an artifact directory listing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArtifactEntry {
-    /// Bare file name (no directory components).
-    pub name: String,
-    /// Size in bytes.
-    pub bytes: u64,
-}
-
-/// Lists the regular files of an artifact directory (`repro_out/`),
-/// sorted by name. Subdirectories, temp files from in-flight
-/// [`write_atomic`] calls (leading `.`), and unreadable entries are
-/// skipped -- the listing only ever names complete, published
-/// artifacts. The serving layer's `/v1/artifacts` endpoint renders it.
-///
-/// # Errors
-///
-/// The [`io::Error`] from reading the directory itself (a missing
-/// directory is the caller's 404, not a panic).
-pub fn list_artifacts(dir: &Path) -> io::Result<Vec<ArtifactEntry>> {
-    let mut entries = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let Ok(entry) = entry else { continue };
-        let Ok(meta) = entry.metadata() else { continue };
-        if !meta.is_file() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with('.') {
-            continue;
-        }
-        entries.push(ArtifactEntry {
-            name,
-            bytes: meta.len(),
-        });
-    }
-    entries.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(entries)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lhr-artifact-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("scratch dir");
-        dir.join(name)
-    }
-
-    #[test]
-    fn checksum_is_stable_and_content_sensitive() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"table4"), fnv64(b"table4"));
-        assert_ne!(fnv64(b"table4"), fnv64(b"table5"));
-    }
-
-    #[test]
-    fn atomic_write_replaces_whole_files() {
-        let path = scratch("replace.txt");
-        write_atomic(&path, b"first version\n").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"first version\n");
-        write_atomic(&path, b"second version\n").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"second version\n");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn simulated_crash_before_rename_leaves_the_old_file_intact() {
-        let path = scratch("crash.txt");
-        write_atomic(&path, b"the good data\n").unwrap();
-        // The new write dies after the temp file hit disk but before the
-        // rename: the destination must still hold the old bytes, and the
-        // temp must not linger.
-        let err = write_atomic_hooked(&path, b"half-written garbage", |tmp| {
-            assert!(tmp.exists(), "temp file exists at the crash point");
-            Err(io::Error::other("power cut"))
-        })
-        .unwrap_err();
-        assert_eq!(err.to_string(), "power cut");
-        assert_eq!(
-            fs::read(&path).unwrap(),
-            b"the good data\n",
-            "old artifact survives a mid-write crash"
-        );
-        let dir = path.parent().unwrap();
-        let leftovers: Vec<_> = fs::read_dir(dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains("crash.txt.tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "no temp litter: {leftovers:?}");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn listing_names_complete_artifacts_only() {
-        let dir = std::env::temp_dir().join(format!("lhr-listing-{}", std::process::id()));
-        fs::create_dir_all(dir.join("sub")).unwrap();
-        write_atomic(&dir.join("table4.txt"), b"rows\n").unwrap();
-        write_atomic(&dir.join("figure7.txt"), b"series\n").unwrap();
-        fs::write(dir.join(".figure7.txt.tmp.123"), b"torn").unwrap();
-        let listing = list_artifacts(&dir).unwrap();
-        assert_eq!(
-            listing.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
-            vec!["figure7.txt", "table4.txt"],
-            "sorted, no temp files, no subdirectories"
-        );
-        assert_eq!(listing[1].bytes, 5);
-        assert!(list_artifacts(&dir.join("absent")).is_err());
-        fs::remove_dir_all(&dir).ok();
-    }
-}
+pub use lhr_obs::sealed::{fnv64, write_atomic};

@@ -41,7 +41,7 @@ fn main() {
     std::fs::create_dir_all("repro_out").expect("create repro_out/");
     let csv = table.to_csv();
     // Crash-safe: an interrupted export leaves the previous csv intact.
-    lhr_bench::artifact::write_atomic(std::path::Path::new("repro_out/dataset.csv"), csv.as_bytes())
+    lhr_obs::sealed::write_atomic(std::path::Path::new("repro_out/dataset.csv"), csv.as_bytes())
         .expect("write dataset.csv");
     println!("{} rows -> repro_out/dataset.csv", table.len());
 }

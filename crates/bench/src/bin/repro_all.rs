@@ -26,9 +26,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use lhr_bench::artifact::{fnv64, write_atomic};
 use lhr_bench::campaign::{self, CampaignOptions};
 use lhr_bench::{run_experiment, Fidelity, Observability, EXPERIMENTS};
+use lhr_obs::sealed::{fnv64, write_atomic};
 
 fn main() {
     let fidelity = Fidelity::from_args();

@@ -1,58 +1,28 @@
-//! Resumable, supervised sweep campaigns: the write-ahead journal and
-//! the campaign driver the regenerator binaries share.
+//! Resumable, supervised sweep campaigns: the campaign driver the
+//! regenerator binaries share.
 //!
-//! # Why a journal
-//!
-//! The source study's numbers came from a multi-day measurement
-//! campaign over real machines. At that scale the campaign *will* be
-//! interrupted -- a wedged logger, a reboot, an operator `^C` -- and
-//! the only acceptable cost of an interruption is the cells not yet
-//! measured. This module makes the reproduction behave the same way:
-//! every resolved `(configuration, workload)` cell is appended to a
-//! crash-safe JSON-lines journal (`campaign.jsonl`) the moment it
-//! resolves, and `--resume` replays the journal into the runner's
-//! measurement cache so only the missing cells re-execute.
-//!
-//! Because measurements are pure functions of their cell under the
-//! fixed seed policy, and the journal stores every `f64` in Rust's
-//! shortest round-trippable form (see [`lhr_obs::push_json_number`]),
-//! a resumed campaign regenerates outputs **byte-identical** to an
-//! uninterrupted one -- locked in by the `campaign_resume` integration
-//! test.
-//!
-//! # Journal format
-//!
-//! One JSON object per line, each ending in a `"crc"` field holding the
-//! FNV-1a 64 checksum (16 hex digits) of everything before it:
-//!
-//! * a header line (`"campaign"`, `"version"`, `"fidelity"`, grid
-//!   shape) -- resume refuses a journal recorded at another fidelity;
-//! * one line per resolved cell: `"status":"ok"` with time/power
-//!   summaries (`[n, mean, stddev, min, max]`) and health counters, or
-//!   `"status":"err"` with the error text (re-executed on resume);
-//! * one line per written artifact: name, size, and content checksum,
-//!   letting a resumed run verify it reproduced the same bytes.
-//!
-//! Lines that fail the checksum -- a torn tail from a crash mid-append
-//! -- are skipped, costing only that cell's re-measurement.
+//! Every resolved `(configuration, workload)` cell is appended to a
+//! crash-safe write-ahead journal ([`lhr_core::journal`], by default
+//! `campaign.jsonl` next to the artifacts) the moment it resolves, and
+//! `--resume` replays the journal into the runner's measurement cache
+//! so only the missing cells re-execute. A resumed campaign regenerates
+//! outputs **byte-identical** to an uninterrupted one -- locked in by
+//! the `campaign_resume` integration test. Artifact checksums are
+//! journaled too, letting a resumed run verify it reproduced the same
+//! bytes.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt::Write as _;
-use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use lhr_core::journal::{load_journal, JournalWriter};
 use lhr_core::{
-    configs, grid_units, AbortHandle, CampaignReport, CampaignSink, Harness, MeasureHealth,
-    RetryPolicy, RunMeasurement, Supervisor, UnitOutcome, UnitReport,
+    configs, grid_units, AbortHandle, CampaignReport, CampaignSink, Harness, RetryPolicy,
+    Supervisor, UnitReport,
 };
-use lhr_obs::{push_json_number, push_json_string};
-use lhr_stats::Summary;
 
-use crate::artifact::fnv64;
 use crate::{Fidelity, Observability};
 
 /// Journal file name used when `--journal` is not given: it lives next
@@ -157,349 +127,6 @@ impl CampaignOptions {
         self.journal
             .clone()
             .unwrap_or_else(|| self.out_dir.join(DEFAULT_JOURNAL))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Journal encoding
-// ---------------------------------------------------------------------
-
-/// Appends the line-integrity checksum and terminator to a record body
-/// (everything up to but excluding `,"crc":...}`) and returns the
-/// complete line. Public so other journal producers (the serve-layer
-/// campaign orchestrator) write the identical format.
-#[must_use]
-pub fn seal_line(mut body: String) -> String {
-    let crc = fnv64(body.as_bytes());
-    let _ = write!(body, ",\"crc\":\"{crc:016x}\"}}");
-    body
-}
-
-/// Splits a sealed line into its body and checksum, verifying
-/// integrity. Returns `None` for torn or tampered lines.
-#[must_use]
-pub fn open_line(line: &str) -> Option<&str> {
-    let at = line.rfind(",\"crc\":\"")?;
-    let (body, tail) = line.split_at(at);
-    let hex = tail.strip_prefix(",\"crc\":\"")?.strip_suffix("\"}")?;
-    let crc = u64::from_str_radix(hex, 16).ok()?;
-    (fnv64(body.as_bytes()) == crc).then_some(body)
-}
-
-fn push_summary(body: &mut String, s: &Summary) {
-    let _ = write!(body, "[{},", s.n());
-    push_json_number(body, s.mean());
-    body.push(',');
-    push_json_number(body, s.stddev());
-    body.push(',');
-    push_json_number(body, s.min());
-    body.push(',');
-    push_json_number(body, s.max());
-    body.push(']');
-}
-
-/// Locates `"key":` in a record and returns the text after the colon.
-fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    line.find(&needle).map(|i| &line[i + needle.len()..])
-}
-
-/// Parses the JSON string literal a key points at, unescaping RFC 8259
-/// escapes (the inverse of [`push_json_string`]).
-#[must_use]
-pub fn parse_str(line: &str, key: &str) -> Option<String> {
-    let rest = after_key(line, key)?.trim_start().strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses the number a key points at.
-#[must_use]
-pub fn parse_num(line: &str, key: &str) -> Option<f64> {
-    let rest = after_key(line, key)?;
-    let end = rest
-        .find([',', '}', ']'])
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Parses the 5-element `[n, mean, stddev, min, max]` array a key
-/// points at, reconstructing the summary bit-exactly.
-fn parse_summary(line: &str, key: &str) -> Option<Summary> {
-    let rest = after_key(line, key)?.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let parts: Vec<f64> = rest[..end]
-        .split(',')
-        .map(|p| p.trim().parse().ok())
-        .collect::<Option<_>>()?;
-    let [n, mean, stddev, min, max] = parts.as_slice() else {
-        return None;
-    };
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let n = *n as usize;
-    (n >= 1).then(|| Summary::from_parts(n, *mean, *stddev, *min, *max))
-}
-
-// ---------------------------------------------------------------------
-// Journal writer
-// ---------------------------------------------------------------------
-
-/// Append-only, fsync-per-line journal writer: once a line's write
-/// returns, the record survives a crash (the definition of write-ahead).
-#[derive(Debug)]
-pub struct JournalWriter {
-    file: Mutex<fs::File>,
-}
-
-impl JournalWriter {
-    /// Starts a fresh journal (truncating any previous one) and writes
-    /// the header line.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating or writing the file.
-    pub fn fresh(path: &Path, fidelity: &str, configs: usize, workloads: usize) -> io::Result<Self> {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fs::create_dir_all(dir)?;
-        }
-        let file = fs::File::create(path)?;
-        let me = Self { file: Mutex::new(file) };
-        let mut body = String::from("{\"campaign\":\"lhr-study\",\"version\":1,\"fidelity\":");
-        push_json_string(&mut body, fidelity);
-        let _ = write!(body, ",\"configs\":{configs},\"workloads\":{workloads}");
-        me.write_line(body)?;
-        Ok(me)
-    }
-
-    /// Reopens an existing journal for appending (the resume path).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error opening the file.
-    pub fn append(path: &Path) -> io::Result<Self> {
-        let file = fs::OpenOptions::new().append(true).open(path)?;
-        Ok(Self { file: Mutex::new(file) })
-    }
-
-    /// Starts a fresh journal without the study header, for producers
-    /// that write their own header via [`JournalWriter::record_raw`]
-    /// (the serve-layer campaign orchestrator).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the file.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fs::create_dir_all(dir)?;
-        }
-        let file = fs::File::create(path)?;
-        Ok(Self { file: Mutex::new(file) })
-    }
-
-    /// Seals and appends an arbitrary record body (everything up to but
-    /// excluding `,"crc":...}`), fsyncing before returning. The body
-    /// must open with `{` and omit the closing brace; the seal adds the
-    /// checksum field and closes the object.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error appending the record.
-    pub fn record_raw(&self, body: String) -> io::Result<()> {
-        self.write_line(body)
-    }
-
-    /// Seals and appends one record body, fsyncing before returning.
-    fn write_line(&self, body: String) -> io::Result<()> {
-        let line = seal_line(body);
-        let mut file = self.file.lock().expect("journal lock");
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_data()
-    }
-
-    /// Journals one resolved campaign unit. Skipped units (abort) are
-    /// deliberately not recorded -- they are the cells resume re-runs.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error appending the record.
-    pub fn record_unit(&self, unit: &UnitReport) -> io::Result<()> {
-        let mut body = String::from("{\"cell\":");
-        push_json_string(&mut body, &unit.config_label);
-        body.push_str(",\"workload\":");
-        push_json_string(&mut body, unit.workload);
-        match &unit.outcome {
-            UnitOutcome::Completed { evaluation, health } => {
-                let _ = write!(
-                    body,
-                    ",\"status\":\"ok\",\"attempts\":{},\"deadline_misses\":{},\
-                     \"retries\":{},\"recalibrations\":{},\"rejected_outliers\":{}",
-                    unit.attempts,
-                    unit.deadline_misses,
-                    health.retries,
-                    health.recalibrations,
-                    health.rejected_outliers,
-                );
-                body.push_str(",\"time\":");
-                push_summary(&mut body, &evaluation.measurement.time);
-                body.push_str(",\"power\":");
-                push_summary(&mut body, &evaluation.measurement.power);
-            }
-            UnitOutcome::Failed { error } => {
-                let _ = write!(
-                    body,
-                    ",\"status\":\"err\",\"attempts\":{},\"deadline_misses\":{},\"error\":",
-                    unit.attempts, unit.deadline_misses,
-                );
-                push_json_string(&mut body, &error.to_string());
-            }
-            UnitOutcome::Skipped => return Ok(()),
-        }
-        self.write_line(body)
-    }
-
-    /// Journals an artifact's name, size, and content checksum.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error appending the record.
-    pub fn record_artifact(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut body = String::from("{\"artifact\":");
-        push_json_string(&mut body, name);
-        let _ = write!(body, ",\"bytes\":{},\"sum\":\"{:016x}\"", bytes.len(), fnv64(bytes));
-        self.write_line(body)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Journal reader
-// ---------------------------------------------------------------------
-
-/// One journaled `"status":"ok"` cell, ready to preload.
-#[derive(Debug, Clone)]
-pub struct OkCell {
-    /// The configuration label.
-    pub config: String,
-    /// The workload name.
-    pub workload: String,
-    /// The runner-level cost recorded for the cell.
-    pub health: MeasureHealth,
-    /// Execution-time summary, bit-exact.
-    pub time: Summary,
-    /// Power summary, bit-exact.
-    pub power: Summary,
-}
-
-/// Everything a journal replay recovered.
-#[derive(Debug, Default)]
-pub struct LoadedJournal {
-    /// The header's fidelity string, when the header survived.
-    pub fidelity: Option<String>,
-    /// Completed cells, in journal (resolution) order.
-    pub ok_cells: Vec<OkCell>,
-    /// Cells journaled as failed (they re-execute on resume).
-    pub err_cells: usize,
-    /// Artifact name -> content checksum.
-    pub artifacts: BTreeMap<String, u64>,
-    /// Lifecycle event names (`{"event":...}` lines), in journal order.
-    /// The serve-layer orchestrator journals `preempted` / `resumed`
-    /// markers this way; replay uses the last one to restore the
-    /// campaign's phase.
-    pub events: Vec<String>,
-    /// Lines dropped by the integrity check (torn tail, tampering).
-    pub skipped_lines: usize,
-}
-
-/// Replays a journal, tolerating a torn tail: any line that fails its
-/// checksum or does not parse is counted in
-/// [`LoadedJournal::skipped_lines`] and otherwise ignored (its cell
-/// simply re-executes).
-///
-/// # Errors
-///
-/// Only on failing to read the file itself.
-pub fn load_journal(path: &Path) -> io::Result<LoadedJournal> {
-    let text = fs::read_to_string(path)?;
-    let mut out = LoadedJournal::default();
-    for line in text.lines() {
-        let Some(body) = open_line(line) else {
-            out.skipped_lines += 1;
-            continue;
-        };
-        if body.starts_with("{\"campaign\":") {
-            out.fidelity = parse_str(body, "fidelity");
-        } else if body.starts_with("{\"artifact\":") {
-            let parsed = parse_str(body, "artifact").and_then(|name| {
-                let hex = parse_str(body, "sum")?;
-                Some((name, u64::from_str_radix(&hex, 16).ok()?))
-            });
-            match parsed {
-                Some((name, sum)) => {
-                    out.artifacts.insert(name, sum);
-                }
-                None => out.skipped_lines += 1,
-            }
-        } else if body.starts_with("{\"cell\":") {
-            match parse_cell(body) {
-                Some(Ok(cell)) => out.ok_cells.push(cell),
-                Some(Err(())) => out.err_cells += 1,
-                None => out.skipped_lines += 1,
-            }
-        } else if body.starts_with("{\"event\":") {
-            match parse_str(body, "event") {
-                Some(event) => out.events.push(event),
-                None => out.skipped_lines += 1,
-            }
-        } else {
-            out.skipped_lines += 1;
-        }
-    }
-    Ok(out)
-}
-
-/// Parses one cell record: `Ok` cells carry data, `Err(())` marks a
-/// journaled failure, `None` a malformed line.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn parse_cell(body: &str) -> Option<Result<OkCell, ()>> {
-    let config = parse_str(body, "cell")?;
-    let workload = parse_str(body, "workload")?;
-    match parse_str(body, "status")?.as_str() {
-        "err" => Some(Err(())),
-        "ok" => {
-            let health = MeasureHealth {
-                retries: parse_num(body, "retries")? as usize,
-                recalibrations: parse_num(body, "recalibrations")? as usize,
-                rejected_outliers: parse_num(body, "rejected_outliers")? as usize,
-            };
-            Some(Ok(OkCell {
-                config,
-                workload,
-                health,
-                time: parse_summary(body, "time")?,
-                power: parse_summary(body, "power")?,
-            }))
-        }
-        _ => None,
     }
 }
 
@@ -682,18 +309,7 @@ pub fn prepare(fidelity: Fidelity, observability: &Observability, opts: &Campaig
             let Some(config) = study.get(&cell.config) else {
                 continue; // a configuration this build no longer measures
             };
-            harness.runner().preload(
-                config,
-                w,
-                RunMeasurement {
-                    workload: w.name(),
-                    group: w.group(),
-                    config: cell.config.clone(),
-                    time: cell.time,
-                    power: cell.power,
-                },
-                cell.health,
-            );
+            cell.preload(harness.runner(), config, w);
             done.insert((cell.config.clone(), cell.workload.clone()));
             preloaded += 1;
         }
@@ -796,100 +412,6 @@ pub fn diff_summary(name: &str, old: &str, new: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_core::MeasureError;
-    use lhr_core::MeasureErrorKind;
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lhr-campaign-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("scratch dir");
-        dir.join(name)
-    }
-
-    fn sample_unit(ok: bool) -> UnitReport {
-        let harness = Harness::quick();
-        let w = lhr_workloads::by_name("hmmer").unwrap();
-        let config = lhr_uarch::ChipConfig::stock(lhr_uarch::ProcessorId::Atom230.spec());
-        let outcome = if ok {
-            let (evaluation, health) = harness.try_evaluate_workload(&config, w).unwrap();
-            UnitOutcome::Completed { evaluation, health }
-        } else {
-            UnitOutcome::Failed {
-                error: MeasureError {
-                    workload: Some(w.name()),
-                    config: config.label(),
-                    kind: MeasureErrorKind::DeadlineExceeded { deadline_s: 1.5 },
-                },
-            }
-        };
-        UnitReport {
-            config_label: config.label(),
-            workload: w.name(),
-            attempts: if ok { 1 } else { 3 },
-            deadline_misses: u32::from(!ok),
-            outcome,
-        }
-    }
-
-    #[test]
-    fn journal_round_trips_cells_bit_exactly() {
-        let path = scratch("roundtrip.jsonl");
-        let writer = JournalWriter::fresh(&path, "Quick", 45, 12).unwrap();
-        let ok = sample_unit(true);
-        let err = sample_unit(false);
-        writer.record_unit(&ok).unwrap();
-        writer.record_unit(&err).unwrap();
-        writer.record_artifact("table4.txt", b"rendered bytes").unwrap();
-
-        let journal = load_journal(&path).unwrap();
-        assert_eq!(journal.fidelity.as_deref(), Some("Quick"));
-        assert_eq!(journal.ok_cells.len(), 1);
-        assert_eq!(journal.err_cells, 1);
-        assert_eq!(journal.skipped_lines, 0);
-        assert_eq!(journal.artifacts["table4.txt"], fnv64(b"rendered bytes"));
-
-        let cell = &journal.ok_cells[0];
-        let UnitOutcome::Completed { evaluation, health } = &ok.outcome else {
-            unreachable!()
-        };
-        assert_eq!(cell.config, ok.config_label);
-        assert_eq!(cell.workload, "hmmer");
-        assert_eq!(cell.health, *health);
-        // The f64 round trip is exact: shortest-repr format + parse
-        // recovers identical bits, the keystone of byte-identical resume.
-        assert_eq!(cell.time, evaluation.measurement.time);
-        assert_eq!(cell.power, evaluation.measurement.power);
-        assert_eq!(
-            cell.time.mean().to_bits(),
-            evaluation.measurement.time.mean().to_bits()
-        );
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_tail_and_tampered_lines_are_skipped_not_fatal() {
-        let path = scratch("torn.jsonl");
-        let writer = JournalWriter::fresh(&path, "Quick", 45, 12).unwrap();
-        writer.record_unit(&sample_unit(true)).unwrap();
-        writer.record_unit(&sample_unit(true)).unwrap();
-        drop(writer);
-        // Crash mid-append: the last line is cut short.
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.truncate(text.len() - 25);
-        // And an earlier line is tampered with (bit rot): flip a digit
-        // inside the second record's attempts field.
-        let tampered = text.replacen("\"attempts\":1", "\"attempts\":7", 1);
-        fs::write(&path, &tampered).unwrap();
-
-        let journal = load_journal(&path).unwrap();
-        assert_eq!(journal.fidelity.as_deref(), Some("Quick"));
-        assert_eq!(
-            journal.ok_cells.len(),
-            0,
-            "both data lines dropped: one torn, one failing its checksum"
-        );
-        assert_eq!(journal.skipped_lines, 2);
-        fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn options_parse_all_campaign_flags() {

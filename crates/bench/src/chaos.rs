@@ -20,14 +20,14 @@
 //! Every knob derives from one seed ([`ChaosPlan::from_seed`] for the
 //! campaign drill, [`ShardChaosPlan::from_seed`] for the shard drill),
 //! so a failing chaos run reproduces exactly. The harness itself lives
-//! in `lhr-bench` and talks only TCP + process control: it has no
-//! compile-time dependency on the serve crate, which keeps the
-//! layering acyclic (serve depends on bench for its journal).
+//! in `lhr-bench` and reaches the server under test only over TCP and
+//! process control; it links the serve crate solely for its HTTP
+//! client.
 //!
-//! All HTTP in this module rides the hardened [`crate::httpc`] client:
-//! a torn body (server killed mid-write) surfaces as a typed
-//! truncation error, never as a quiet prefix that byte-identity checks
-//! would wave through.
+//! All HTTP in this module rides that hardened client,
+//! [`lhr_serve::httpc`]: a torn body (server killed mid-write) surfaces
+//! as a typed truncation error, never as a quiet prefix that
+//! byte-identity checks would wave through.
 //!
 //! See `examples/chaos_campaign.rs` for the full kill/tear/resume
 //! drill, `examples/shard_chaos.rs` for the sharded kill + rolling
@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::httpc;
+use lhr_serve::httpc;
 use lhr_trace::{Rng64, SplitMix64};
 
 // ---------------------------------------------------------------------
@@ -273,7 +273,7 @@ impl Drop for ServerProc {
 // HTTP clients
 // ---------------------------------------------------------------------
 
-/// The read deadline the chaos helpers hand to [`crate::httpc`]: long
+/// The read deadline the chaos helpers hand to [`lhr_serve::httpc`]: long
 /// enough for a cold campaign cell, short enough that a wedged server
 /// still fails the drill.
 const CHAOS_TIMEOUT: Duration = Duration::from_secs(120);

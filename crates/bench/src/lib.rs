@@ -30,10 +30,13 @@
 pub mod artifact;
 pub mod campaign;
 pub mod chaos;
-pub mod httpc;
 pub mod perfjson;
 pub mod queries;
 pub mod traceview;
+
+/// The HTTP/1.1 client, re-exported from its home next to the server
+/// under the path the end-to-end benchmark imports.
+pub use lhr_serve::httpc;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

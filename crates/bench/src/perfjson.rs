@@ -35,6 +35,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use lhr_core::Runner;
+use lhr_obs::sealed::{json_f64, json_str};
 use lhr_obs::{push_json_number, push_json_string};
 use lhr_power::{
     ActivityCounters, EnergyModel, NodeScaling, PowerMeters, PowerWaveform, Structure,
@@ -43,8 +44,6 @@ use lhr_sensors::MeasurementRig;
 use lhr_uarch::{phase_performance, ChipConfig, Environment, MissRateEstimator, ProcessorId};
 use lhr_units::{Seconds, Watts};
 use lhr_workloads::by_name;
-
-use crate::campaign::{parse_num, parse_str};
 
 /// Version stamp of the `BENCH_*.json` layout; bumped on breaking
 /// changes so [`BenchReport::from_json`] can reject snapshots it does
@@ -162,33 +161,33 @@ impl BenchReport {
     /// A human-readable message when the schema version is missing or
     /// unsupported, a required field is absent, or no layers parse.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let schema = parse_num(text, "schema").ok_or("missing \"schema\" field")?;
+        let schema = json_f64(text, "schema").ok_or("missing \"schema\" field")?;
         #[allow(clippy::float_cmp)]
         if schema != f64::from(SCHEMA_VERSION) {
             return Err(format!(
                 "unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"
             ));
         }
-        let label = parse_str(text, "label").ok_or("missing \"label\" field")?;
+        let label = json_str(text, "label").ok_or("missing \"label\" field")?;
         let cells_per_sec =
-            parse_num(text, "cells_per_sec").ok_or("missing \"cells_per_sec\" field")?;
+            json_f64(text, "cells_per_sec").ok_or("missing \"cells_per_sec\" field")?;
         let ns_per_interval =
-            parse_num(text, "ns_per_interval").ok_or("missing \"ns_per_interval\" field")?;
+            json_f64(text, "ns_per_interval").ok_or("missing \"ns_per_interval\" field")?;
         let mut layers = Vec::new();
         for line in text.lines() {
-            let Some(id) = parse_str(line, "id") else {
+            let Some(id) = json_str(line, "id") else {
                 continue;
             };
             let stat = LayerStat {
                 id,
-                group: parse_str(line, "group").ok_or("layer missing \"group\"")?,
+                group: json_str(line, "group").ok_or("layer missing \"group\"")?,
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                iters: parse_num(line, "iters").ok_or("layer missing \"iters\"")? as u64,
-                ns_per_iter: parse_num(line, "ns_per_iter")
+                iters: json_f64(line, "iters").ok_or("layer missing \"iters\"")? as u64,
+                ns_per_iter: json_f64(line, "ns_per_iter")
                     .ok_or("layer missing \"ns_per_iter\"")?,
-                min_ns_per_iter: parse_num(line, "min_ns_per_iter")
+                min_ns_per_iter: json_f64(line, "min_ns_per_iter")
                     .ok_or("layer missing \"min_ns_per_iter\"")?,
-                allocs_per_iter: parse_num(line, "allocs_per_iter"),
+                allocs_per_iter: json_f64(line, "allocs_per_iter"),
             };
             layers.push(stat);
         }
@@ -631,7 +630,7 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
 #[must_use]
 pub fn collect_serving(cfg: &TimerConfig) -> Vec<LayerStat> {
     use crate::chaos::{locate_binary, ServerProc};
-    use crate::httpc;
+    use lhr_serve::httpc;
 
     let (Ok(serve_bin), Ok(router_bin)) = (
         locate_binary("lhr_serve", "LHR_SERVE_BIN"),

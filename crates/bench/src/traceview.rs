@@ -32,6 +32,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use lhr_obs::sealed::{json_str, json_u64};
+
 /// One reconstructed span.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
@@ -123,45 +125,6 @@ pub struct TraceView {
     pub skipped_lines: usize,
 }
 
-fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    line.find(&needle).map(|i| &line[i + needle.len()..])
-}
-
-fn parse_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = after_key(line, key)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn parse_str(line: &str, key: &str) -> Option<String> {
-    // Trace names never contain escapes the renderer emits unescaped;
-    // take the literal up to the closing quote and unescape the common
-    // cases (the writer is `lhr_obs::push_json_string`).
-    let rest = after_key(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
 impl TraceView {
     /// Parses a trace from its text (one JSON object per line).
     #[must_use]
@@ -172,16 +135,16 @@ impl TraceView {
             if line.trim().is_empty() {
                 continue;
             }
-            let Some(ev) = parse_str(line, "ev") else {
+            let Some(ev) = json_str(line, "ev") else {
                 view.skipped_lines += 1;
                 continue;
             };
-            let req = parse_u64(line, "req").unwrap_or(0);
+            let req = json_u64(line, "req").unwrap_or(0);
             let request = view.requests.entry(req).or_default();
             match ev.as_str() {
                 "span_start" => {
                     let (Some(id), Some(name)) =
-                        (parse_u64(line, "id"), parse_str(line, "name"))
+                        (json_u64(line, "id"), json_str(line, "name"))
                     else {
                         view.skipped_lines += 1;
                         continue;
@@ -191,7 +154,7 @@ impl TraceView {
                         SpanNode {
                             id,
                             name,
-                            parent: parse_u64(line, "parent").unwrap_or(0),
+                            parent: json_u64(line, "parent").unwrap_or(0),
                             nanos: 0,
                             ended: false,
                             children: Vec::new(),
@@ -199,20 +162,20 @@ impl TraceView {
                     );
                 }
                 "span_end" => {
-                    let Some(id) = parse_u64(line, "id") else {
+                    let Some(id) = json_u64(line, "id") else {
                         view.skipped_lines += 1;
                         continue;
                     };
                     if let Some(span) = request.spans.get_mut(&id) {
-                        span.nanos = parse_u64(line, "ns").unwrap_or(0);
+                        span.nanos = json_u64(line, "ns").unwrap_or(0);
                         span.ended = true;
                     }
                 }
                 "counter" | "gauge" | "histogram" => request.events += 1,
                 "mark" => {
                     request.events += 1;
-                    if parse_str(line, "name").as_deref() == Some("serve.coalesce.follows") {
-                        if let Some(leader) = parse_str(line, "detail")
+                    if json_str(line, "name").as_deref() == Some("serve.coalesce.follows") {
+                        if let Some(leader) = json_str(line, "detail")
                             .and_then(|d| d.strip_prefix("leader_request=")?.parse().ok())
                         {
                             request.followed.push(leader);

@@ -119,7 +119,11 @@ fn killed_campaign_resumes_to_byte_identical_artifacts() {
     }
 
     // 5. Resuming a *completed* campaign is a fast no-op replay that
-    //    re-verifies every artifact checksum against the journal.
+    //    re-verifies every artifact checksum against the journal. It
+    //    measures nothing, so it journals no cell: the first record the
+    //    step-3 resume appended after the torn tail must have survived.
+    let cell_lines = |text: &str| text.lines().filter(|l| l.starts_with("{\"cell\":")).count();
+    let cells_before = cell_lines(&resumed_journal);
     let code = repro_all(&[
         "--quick",
         "--out-dir",
@@ -129,6 +133,11 @@ fn killed_campaign_resumes_to_byte_identical_artifacts() {
         "--resume",
     ]);
     assert_eq!(code, 0, "re-resume verifies checksums and stays clean");
+    assert_eq!(
+        cell_lines(&fs::read_to_string(&journal).expect("read journal")),
+        cells_before,
+        "re-resuming a completed campaign journals no cell"
+    );
 
     fs::remove_dir_all(&interrupted).ok();
     fs::remove_dir_all(&fresh).ok();

@@ -16,7 +16,10 @@
 //! * [`experiments`]: one module per table and figure (Tables 1-5,
 //!   Figures 1-12), each rendering the paper's rows/series,
 //! * report helpers ([`Table`], [`fmt2`], [`fmt_pct`]): text tables and
-//!   csv, mirroring the paper's published companion data.
+//!   csv, mirroring the paper's published companion data,
+//! * [`journal`]: the campaign write-ahead journal of resolved cells that
+//!   both campaign engines (the offline driver and the server) persist
+//!   and resume through.
 //!
 //! The runner and harness double as the study's lab notebook: arm an
 //! `lhr-obs` observer ([`Runner::with_observer`] /
@@ -44,6 +47,7 @@ pub mod configs;
 mod error;
 pub mod experiments;
 mod harness;
+pub mod journal;
 mod reference;
 mod report;
 mod runner;

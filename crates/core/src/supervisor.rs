@@ -109,11 +109,7 @@ impl RetryPolicy {
     /// `[0.5, 1.0] x` [`RetryPolicy::envelope_s`].
     #[must_use]
     pub fn delay_s(&self, cell: &str, attempt: u32) -> f64 {
-        let mut key: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in cell.bytes() {
-            key ^= u64::from(b);
-            key = key.wrapping_mul(0x1000_0000_01b3);
-        }
+        let key = lhr_obs::sealed::fnv64(cell.as_bytes());
         let mut rng = SplitMix64::new(self.seed ^ key).split(u64::from(attempt));
         let fraction = 0.5 + 0.5 * rng.next_f64();
         self.envelope_s(attempt) * fraction

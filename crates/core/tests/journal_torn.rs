@@ -6,7 +6,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use lhr_bench::campaign::{load_journal, seal_line, JournalWriter};
+use lhr_core::journal::{load_journal, JournalWriter};
+use lhr_obs::sealed::seal_line;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lhr-journal-torn-{}-{name}", std::process::id()));

@@ -167,8 +167,9 @@ impl std::fmt::Debug for JsonLinesRecorder {
 
 /// Appends `s` as a JSON string literal (RFC 8259 escaping).
 ///
-/// Public so other JSON-lines writers in the workspace (e.g. the campaign
-/// journal in `lhr-bench`) share one escaping implementation.
+/// Public so other JSON-lines writers in the workspace (the sealed-line
+/// files of [`crate::sealed`]) share one escaping implementation;
+/// [`crate::sealed::json_str`] is its inverse.
 pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -39,6 +39,13 @@
 //! through every event so `lhr_traceview` can rebuild per-request span
 //! trees from a trace file.
 //!
+//! # Durable records
+//!
+//! [`sealed`] holds the one record format every durable file in the
+//! workspace uses (checksummed JSON lines), the readers that invert
+//! [`push_json_string`] and [`push_json_number`], and the crash-safe
+//! whole-file write.
+//!
 //! # Example: a custom recorder
 //!
 //! ```
@@ -98,6 +105,7 @@ mod json;
 mod memory;
 pub mod prom;
 mod recorder;
+pub mod sealed;
 pub mod slo;
 mod snapshot;
 #[cfg(test)]

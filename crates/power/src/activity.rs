@@ -1,14 +1,12 @@
 //! Per-interval activity counters: the interface between the performance
 //! simulation (`lhr-uarch`) and the power model.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of energy-bearing events in one simulation interval on one
 /// hardware context (or aggregated across contexts).
 ///
 /// All counts are raw event totals for the interval; the [`crate::EnergyModel`]
 /// assigns each a per-event energy.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ActivityCounters {
     /// Retired instructions in total (drives fetch/decode/retire energy).
     pub instructions: u64,

@@ -1,7 +1,5 @@
 //! The event-energy model: activity counts in, joules out.
 
-use serde::{Deserialize, Serialize};
-
 use lhr_units::{Joules, TechNode, Volts, Watts};
 
 use crate::activity::ActivityCounters;
@@ -11,7 +9,7 @@ use crate::node::NodeScaling;
 /// voltage. Passive data in the C spirit: the processor catalog constructs
 /// one per chip family (a NetBurst instruction costs several times a Core
 /// instruction at the same node).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventEnergies {
     /// Fetch/decode/rename/retire cost charged to every instruction.
     pub per_instruction_pj: f64,
@@ -87,7 +85,7 @@ impl EventEnergies {
 }
 
 /// Static (leakage + always-on) power parameters for one chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticPowerParams {
     /// Leakage of one powered core at the node's nominal voltage.
     pub core_leak_w: f64,
@@ -117,7 +115,7 @@ impl Default for StaticPowerParams {
 }
 
 /// The chip-level energy model: per-event energies plus node scaling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     events: EventEnergies,
     nodes: NodeScaling,

@@ -6,12 +6,10 @@
 //! leakage grew until high-k metal-gate processes (45nm) pulled it back.
 //! These per-node factors encode that history for the power model.
 
-use serde::{Deserialize, Serialize};
-
 use lhr_units::{TechNode, Volts};
 
 /// Per-node scaling factors, normalized to the 65nm generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeScaling {
     /// Dynamic-energy (effective switched capacitance) multiplier per node.
     cap_scale: [f64; 5],

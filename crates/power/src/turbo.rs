@@ -6,12 +6,10 @@
 //! already at its highest clock setting (Section 3.6 of the paper). The
 //! controller itself lives in `lhr-uarch`; these are the per-chip constants.
 
-use serde::{Deserialize, Serialize};
-
 use lhr_units::{Hertz, Volts};
 
 /// Per-chip Turbo Boost stepping constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TurboParams {
     /// The frequency increment of one step (133 MHz on Nehalem).
     pub step_hz: f64,

@@ -11,8 +11,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use lhr_units::{Hertz, Volts};
 
 /// Error constructing a [`VfCurve`].
@@ -77,7 +75,7 @@ impl Error for VfError {}
 /// assert_eq!(curve.voltage_at(Hertz::from_ghz(2.66)), Volts::new(1.38));
 /// # Ok::<(), lhr_power::VfError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfCurve {
     f_min_hz: f64,
     f_max_hz: f64,

@@ -32,7 +32,7 @@
 //!
 //! Every campaign owns a write-ahead journal
 //! (`<campaign-dir>/<id>.jsonl`) in the exact format of the offline
-//! campaign driver ([`lhr_bench::campaign`]): header line, one sealed
+//! campaign driver ([`lhr_core::journal`]): header line, one sealed
 //! line per resolved cell, artifact checksums, and `{"event":...}`
 //! lifecycle markers, each line fsynced before the in-memory state
 //! changes. `POST /v1/campaigns/<id>/preempt` stops future dispatch
@@ -66,13 +66,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use lhr_bench::artifact::{fnv64, write_atomic};
-use lhr_bench::campaign::{load_journal, parse_str, JournalWriter};
+use lhr_core::journal::{load_journal, JournalWriter};
 use lhr_core::{
-    Evaluation, Harness, MeasureError, MeasureErrorKind, MeasureHealth, RetryPolicy,
-    RunMeasurement, UnitOutcome, UnitReport,
+    Evaluation, Harness, MeasureError, MeasureErrorKind, MeasureHealth, RetryPolicy, UnitOutcome,
+    UnitReport,
 };
 use lhr_obs::context::{self, Ctx};
+use lhr_obs::sealed::{fnv64, json_f64, json_str, write_atomic};
 use lhr_obs::{push_json_number, push_json_string, Obs};
 use lhr_uarch::ChipConfig;
 use lhr_workloads::Workload;
@@ -936,20 +936,18 @@ impl Orchestrator {
             .and_then(|s| s.to_str())
             .ok_or("bad file name")?
             .to_owned();
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let header = text
-            .lines()
-            .next()
-            .and_then(lhr_bench::campaign::open_line)
+        let journal = load_journal(path).map_err(|e| e.to_string())?;
+        let header = journal
+            .header
+            .as_deref()
             .ok_or("missing or torn header line")?;
-        if parse_str(header, "campaign").as_deref() != Some("lhr-serve") {
+        if json_str(header, "campaign").as_deref() != Some("lhr-serve") {
             return Err("not a serve campaign journal".to_owned());
         }
         let spec = spec_from_header(header)?;
         let grid = spec
             .resolve(harness)
             .map_err(|_| "spec no longer resolves against this server".to_owned())?;
-        let journal = load_journal(path).map_err(|e| e.to_string())?;
 
         let mut units: Vec<Unit> = grid
             .into_iter()
@@ -975,18 +973,7 @@ impl Orchestrator {
             if !matches!(unit.slot, Slot::Pending { .. }) {
                 continue; // duplicate journal line; first wins
             }
-            harness.runner().preload(
-                &unit.config,
-                unit.workload,
-                RunMeasurement {
-                    workload: unit.workload.name(),
-                    group: unit.workload.group(),
-                    config: cell.config.clone(),
-                    time: cell.time,
-                    power: cell.power,
-                },
-                cell.health,
-            );
+            cell.preload(harness.runner(), &unit.config, unit.workload);
             match harness.try_evaluate_workload(&unit.config, unit.workload) {
                 Ok((evaluation, health)) => {
                     unit.slot = Slot::Ready { evaluation, health };
@@ -1305,7 +1292,7 @@ fn header_body(id: &str, spec: &CampaignSpec) -> String {
 
 fn spec_from_header(header: &str) -> Result<CampaignSpec, String> {
     let csv = |key: &str| -> Vec<String> {
-        parse_str(header, key)
+        json_str(header, key)
             .unwrap_or_default()
             .split(',')
             .filter(|t| !t.is_empty())
@@ -1317,12 +1304,12 @@ fn spec_from_header(header: &str) -> Result<CampaignSpec, String> {
         return Err("header names no chips".to_owned());
     }
     Ok(CampaignSpec {
-        tenant: parse_str(header, "tenant").ok_or("header missing tenant")?,
-        lane: Lane::parse(&parse_str(header, "priority").unwrap_or_else(|| "normal".to_owned()))?,
-        weight: lhr_bench::campaign::parse_num(header, "weight").unwrap_or(1.0),
-        quota: lhr_bench::campaign::parse_num(header, "quota").unwrap_or(8.0),
+        tenant: json_str(header, "tenant").ok_or("header missing tenant")?,
+        lane: Lane::parse(&json_str(header, "priority").unwrap_or_else(|| "normal".to_owned()))?,
+        weight: json_f64(header, "weight").unwrap_or(1.0),
+        quota: json_f64(header, "quota").unwrap_or(8.0),
         chips,
-        descriptor: parse_str(header, "config").unwrap_or_else(|| "stock".to_owned()),
+        descriptor: json_str(header, "config").unwrap_or_else(|| "stock".to_owned()),
         workloads: csv("workloads"),
     })
 }

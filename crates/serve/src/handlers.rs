@@ -11,6 +11,7 @@
 //! unknown workload) happens *before* a flight opens, so `400`/`404`
 //! never cost a simulation.
 
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -786,20 +787,48 @@ pub fn safe_artifact_name(name: &str) -> bool {
         && !name.contains('\0')
 }
 
+/// Lists the regular files of an artifact directory (`repro_out/`) as
+/// `(name, bytes)`, sorted by name. Subdirectories, temp files from
+/// in-flight atomic writes (leading `.`), and unreadable entries are
+/// skipped -- the listing only ever names complete, published
+/// artifacts.
+///
+/// # Errors
+///
+/// The [`io::Error`] from reading the directory itself (a missing
+/// directory is the caller's 404, not a panic).
+fn list_artifacts(dir: &Path) -> io::Result<Vec<(String, u64)>> {
+    let mut entries = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let Ok(entry) = entry else { continue };
+        let Ok(meta) = entry.metadata() else { continue };
+        if !meta.is_file() {
+            continue;
+        }
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.starts_with('.') {
+            continue;
+        }
+        entries.push((name, meta.len()));
+    }
+    entries.sort();
+    Ok(entries)
+}
+
 fn artifact_index(state: &Arc<ServeState>) -> Response {
-    let entries = match lhr_bench::artifact::list_artifacts(&state.artifact_dir) {
+    let entries = match list_artifacts(&state.artifact_dir) {
         Ok(entries) => entries,
         Err(_) => return Response::error(404, "no_artifacts", "artifact directory not found"),
     };
     let mut body = String::from("{\"artifacts\":[");
-    for (i, e) in entries.iter().enumerate() {
+    for (i, (name, bytes)) in entries.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
         body.push_str("{\"name\":");
-        push_json_string(&mut body, &e.name);
+        push_json_string(&mut body, name);
         body.push_str(",\"bytes\":");
-        push_json_number(&mut body, e.bytes as f64);
+        push_json_number(&mut body, *bytes as f64);
         body.push('}');
     }
     body.push_str("]}\n");
@@ -887,5 +916,27 @@ mod tests {
         ] {
             assert!(!safe_artifact_name(bad), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn listing_names_complete_artifacts_only() {
+        use lhr_obs::sealed::write_atomic;
+        let dir = std::env::temp_dir().join(format!("lhr-listing-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        write_atomic(&dir.join("table4.txt"), b"rows\n").unwrap();
+        write_atomic(&dir.join("figure7.txt"), b"series\n").unwrap();
+        std::fs::write(dir.join(".figure7.txt.tmp.123"), b"torn").unwrap();
+        let listing = list_artifacts(&dir).unwrap();
+        assert_eq!(
+            listing
+                .iter()
+                .map(|(name, _)| name.as_str())
+                .collect::<Vec<_>>(),
+            vec!["figure7.txt", "table4.txt"],
+            "sorted, no temp files, no subdirectories"
+        );
+        assert_eq!(listing[1].1, 5);
+        assert!(list_artifacts(&dir.join("absent")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -103,6 +103,7 @@ pub mod campaigns;
 pub mod coalesce;
 pub mod handlers;
 pub mod http;
+pub mod httpc;
 pub mod queue;
 pub mod server;
 pub mod shard;

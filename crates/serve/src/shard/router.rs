@@ -38,7 +38,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lhr_bench::httpc::{self, HttpResponse};
 use lhr_core::cache::config_fingerprint;
 use lhr_core::Harness;
 use lhr_obs::context::{self, Ctx};
@@ -49,6 +48,7 @@ use crate::campaigns::Orchestrator;
 use crate::coalesce::FlightBoard;
 use crate::handlers::{self, build_config, chip_by_token, endpoint_tag, ServeState};
 use crate::http::{read_request, HttpError, Method, Request, Response};
+use crate::httpc::{self, HttpResponse};
 use crate::queue::{BoundedQueue, PushError, ShedPool};
 use crate::shard::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 use crate::shard::health::{HealthFsm, HealthPolicy, HealthState};

@@ -47,10 +47,10 @@ fn boot(configure: impl FnOnce(&mut ServerConfig)) -> (ServerHandle, Arc<MemoryR
     (handle, recorder)
 }
 
-/// All exchanges go through the hardened `lhr_bench::httpc` client:
+/// All exchanges go through the hardened `lhr_serve::httpc` client:
 /// `Content-Length` is validated, so a torn response fails loudly.
 fn http_request(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let resp = lhr_bench::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
+    let resp = lhr_serve::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
         .expect("http exchange");
     use std::fmt::Write as _;
     let mut text = format!("HTTP/1.1 {}\r\n", resp.status);

@@ -41,12 +41,12 @@ fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
     http_request(addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
 }
 
-/// All exchanges go through the hardened `lhr_bench::httpc` client, so
+/// All exchanges go through the hardened `lhr_serve::httpc` client, so
 /// every test response is `Content-Length`-validated: a torn body fails
 /// the test as a typed truncation error instead of a confusing
 /// assertion on half a payload.
 fn http_request(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let resp = lhr_bench::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
+    let resp = lhr_serve::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
         .expect("http exchange");
     (resp.status, rebuild_text(&resp))
 }
@@ -54,7 +54,7 @@ fn http_request(addr: SocketAddr, raw: &str) -> (u16, String) {
 /// Renders the validated response back into `head\r\n\r\nbody` text so
 /// the assertions here keep splitting on the blank line. Header names
 /// come back normalized to lowercase.
-fn rebuild_text(resp: &lhr_bench::httpc::HttpResponse) -> String {
+fn rebuild_text(resp: &lhr_serve::httpc::HttpResponse) -> String {
     use std::fmt::Write as _;
     let mut text = format!("HTTP/1.1 {}\r\n", resp.status);
     for (name, value) in &resp.headers {

@@ -67,14 +67,14 @@ fn boot_router(
 
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
     let raw = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
-    let resp = lhr_bench::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
+    let resp = lhr_serve::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
         .expect("http exchange");
     (resp.status, resp.body_str().into_owned())
 }
 
 fn http_post(addr: SocketAddr, target: &str) -> (u16, String) {
     let raw = format!("POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
-    let resp = lhr_bench::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
+    let resp = lhr_serve::httpc::exchange(addr, raw.as_bytes(), Duration::from_secs(120))
         .expect("http exchange");
     (resp.status, resp.body_str().into_owned())
 }

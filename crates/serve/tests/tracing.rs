@@ -55,12 +55,12 @@ fn boot_backend(store: &str) -> (ServerHandle, Telemetry) {
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let resp = lhr_bench::httpc::get(addr, target, Duration::from_secs(120)).expect("exchange");
+    let resp = lhr_serve::httpc::get(addr, target, Duration::from_secs(120)).expect("exchange");
     (resp.status, resp.body_str().into_owned())
 }
 
 fn traced_get(addr: SocketAddr, target: &str, header: &str) -> (u16, String) {
-    let resp = lhr_bench::httpc::get_with_headers(
+    let resp = lhr_serve::httpc::get_with_headers(
         addr,
         target,
         &[("x-lhr-trace", header)],

@@ -48,7 +48,6 @@
 
 pub mod dsl;
 pub mod exec;
-pub mod journal;
 pub mod spanstore;
 pub mod store;
 
@@ -77,6 +76,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_obs::sealed::fnv64;
 
     fn row(chip: &str, workload: &str, group: &str, clock: f64, perf: f64, watts: f64) -> CellRow {
         CellRow {
@@ -84,8 +84,8 @@ mod tests {
             config: format!("{chip} @ {clock}"),
             workload: workload.to_owned(),
             group: group.to_owned(),
-            config_fp: format!("{:016x}", journal::fnv64(format!("{chip}{clock}").as_bytes())),
-            workload_fp: format!("{:016x}", journal::fnv64(workload.as_bytes())),
+            config_fp: format!("{:016x}", fnv64(format!("{chip}{clock}").as_bytes())),
+            workload_fp: format!("{:016x}", fnv64(workload.as_bytes())),
             node: 45.0,
             cores: 4.0,
             smt: 1.0,

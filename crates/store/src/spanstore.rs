@@ -48,15 +48,16 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use lhr_obs::sealed::{
+    fnv64, json_array, json_str, json_u64, open_line, read_lines, seal_line, write_atomic,
+};
 use lhr_obs::{Event, EventKind, Recorder};
-
-use crate::journal::{fnv64, json_array, json_str, json_u64, open_line, seal_line};
 
 /// One completed span, as persisted in the span table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,7 +241,7 @@ impl SpanTable {
                     buf.push_str(&seal_line(body));
                     buf.push('\n');
                 }
-                atomic_write(&col_path(&dir, SPAN_COLS[ci]), buf.as_bytes())?;
+                write_atomic(&col_path(&dir, SPAN_COLS[ci]), buf.as_bytes())?;
             }
         }
         Ok(SpanTable {
@@ -938,7 +939,7 @@ pub fn fragment_json(trace: u128, rows: &[SpanRow]) -> String {
 /// yield `None`, never a panic.
 #[must_use]
 pub fn parse_fragment(body: &str) -> Option<Vec<SpanRow>> {
-    let trace_hex = crate::journal::json_str(body, "trace")?;
+    let trace_hex = json_str(body, "trace")?;
     let trace = u128::from_str_radix(&trace_hex, 16).ok()?;
     let at = body.find("\"spans\":[")?;
     let rest = &body[at + "\"spans\":[".len()..];
@@ -1028,30 +1029,6 @@ pub fn summaries_json(summaries: &[TraceSummary]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-fn read_lines(path: &Path) -> io::Result<Vec<String>> {
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            text = String::from_utf8_lossy(&bytes).into_owned();
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    Ok(text.lines().map(str::to_owned).collect())
 }
 
 #[cfg(test)]

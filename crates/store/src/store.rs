@@ -13,8 +13,8 @@
 //!   col_clock.jsonl   ...one file per schema column...
 //! ```
 //!
-//! Every line is sealed with the campaign-journal CRC framing
-//! ([`crate::journal`]) and every append is fsynced, so a crash tears at
+//! Every line is sealed with the workspace's checksummed line format
+//! ([`lhr_obs::sealed`]) and every append is fsynced, so a crash tears at
 //! most the final line of each file. String columns store dictionary ids;
 //! numeric columns store `f64` values printed shortest-round-trip (the
 //! bytes re-parse to the identical bits).
@@ -38,16 +38,17 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use lhr_core::cache::{config_fingerprint, workload_fingerprint};
 use lhr_core::Evaluation;
+use lhr_obs::sealed::{
+    fnv64, json_array, json_str, json_u64, open_line, read_lines, seal_line, write_atomic,
+};
 use lhr_obs::{push_json_number, push_json_string};
 use lhr_uarch::ChipConfig;
-
-use crate::journal::{json_array, json_str, json_u64, open_line, seal_line};
 
 /// The type of one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,18 +159,14 @@ impl CellRow {
             Some(w) => (
                 format!(
                     "{:016x}",
-                    workload_fingerprint(w) ^ crate::journal::fnv64(eval.name().as_bytes())
+                    workload_fingerprint(w) ^ fnv64(eval.name().as_bytes())
                 ),
                 w.trace().total_instructions(),
                 w.managed().is_some(),
             ),
             // Ablated or synthetic workloads are not in the catalog;
             // key them by name so they still land in a distinct row.
-            None => (
-                format!("{:016x}", crate::journal::fnv64(eval.name().as_bytes())),
-                0,
-                false,
-            ),
+            None => (format!("{:016x}", fnv64(eval.name().as_bytes())), 0, false),
         };
         CellRow {
             chip: spec.short.to_owned(),
@@ -360,7 +357,7 @@ impl Store {
             for (id, s) in inner.dict.iter().enumerate() {
                 push_dict_line(&mut buf, id as u64, s);
             }
-            atomic_write(&dir.join("strings.jsonl"), buf.as_bytes())?;
+            write_atomic(&dir.join("strings.jsonl"), buf.as_bytes())?;
         }
 
         // Replay the upsert log: last row per key wins.
@@ -728,39 +725,5 @@ fn rewrite_column(dir: &Path, ci: usize, data: &ColumnData) -> io::Result<()> {
         buf.push_str(&seal_line(body));
         buf.push('\n');
     }
-    atomic_write(&dir.join(col_file(SCHEMA[ci].name)), buf.as_bytes())
-}
-
-/// Temp-file + fsync + rename, so a repair can itself be interrupted
-/// without losing the previous contents.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = File::open(parent) {
-            let _ = d.sync_data();
-        }
-    }
-    Ok(())
-}
-
-fn read_lines(path: &Path) -> io::Result<Vec<String>> {
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            // Invalid UTF-8 (disk corruption) must not panic: replace and
-            // let the CRC check reject the line.
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            text = String::from_utf8_lossy(&bytes).into_owned();
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    Ok(text.lines().map(str::to_owned).collect())
+    write_atomic(&dir.join(col_file(SCHEMA[ci].name)), buf.as_bytes())
 }

@@ -29,16 +29,11 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Implements the shared surface of a scalar physical quantity.
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
         pub struct $name(f64);
 
         impl $name {
@@ -438,9 +433,7 @@ impl Div<Amperes> for Watts {
 /// assert_eq!(TechNode::Nm45.nanometers(), 45.0);
 /// assert_eq!(TechNode::Nm130.shrink(), Some(TechNode::Nm90));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TechNode {
     /// 32 nm (2010; the Core i5-670 "Clarkdale").
     Nm32,
@@ -627,18 +620,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_is_transparent() {
+    fn value_round_trips_through_its_text() {
+        // A quantity's text form is the bare number, and parsing that
+        // text back recovers the same quantity.
         let w = Watts::new(42.5);
-        let json = serde_json_like(w.value());
-        // serde(transparent) means the wire format is the bare number.
+        let json = format!("{}", w.value());
         assert_eq!(json, "42.5");
-        fn serde_json_like(v: f64) -> String {
-            // We avoid a serde_json dependency; transparency is checked via
-            // the derived Serialize impl feeding a trivial serializer in the
-            // integration suite. Here we at least pin the invariant that the
-            // value survives a round trip through f64.
-            format!("{v}")
-        }
         let back = Watts::new(json.parse::<f64>().unwrap());
         assert_eq!(back, w);
     }

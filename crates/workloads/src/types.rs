@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The benchmark suite a workload originates from (Table 1 "Src" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CINT2006 ("SI").
     SpecInt2006,
@@ -39,7 +37,7 @@ impl fmt::Display for Suite {
 }
 
 /// The four equally weighted workload groups (Section 2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Group {
     /// Single-threaded C/C++/Fortran from SPEC CPU2006.
     NativeNonScalable,
@@ -89,7 +87,7 @@ impl fmt::Display for Group {
 }
 
 /// Native (compiled ahead of time) versus managed (JIT + GC) languages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Language {
     /// C, C++, Fortran: compiled ahead of time, no runtime services.
     Native,
@@ -107,7 +105,7 @@ impl fmt::Display for Language {
 }
 
 /// How a workload's application threads scale across hardware contexts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThreadModel {
     /// One application thread, always.
     Single,
@@ -171,7 +169,7 @@ impl ThreadModel {
 /// and parallel (Section 3.1 of the paper), so they appear in the simulation
 /// as additional software threads plus a cache/TLB *displacement* penalty
 /// when they are co-scheduled onto the application's hardware context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManagedProfile {
     /// GC work as a fraction of application work.
     pub gc_work_fraction: f64,
@@ -261,7 +259,7 @@ impl ManagedProfile {
 }
 
 /// The role of a software thread within a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreadRole {
     /// Application (mutator) work.
     Application,

@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lhr_bench::httpc;
 use lhr_core::{Harness, Runner, ShardedLruCache};
+use lhr_serve::httpc;
 use lhr_serve::{ServerConfig, Telemetry};
 
 /// The request mix: mostly hot cells, some cold, some cheap endpoints,

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lhr_bench::chaos::{http_post, locate_binary, poll_until, ServerProc, ShardChaosPlan};
-use lhr_bench::httpc;
+use lhr_serve::httpc;
 
 /// The request mix every client loops: six distinct cells (so the ring
 /// spreads them across shards), the findings check, and a Pareto
