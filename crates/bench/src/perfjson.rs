@@ -22,8 +22,9 @@
 //! | `serve_cache_hit`   | the serving layer's warm-cache lookup          |
 //!
 //! Two measurement-store layers ([`collect_store`]) ride along since the
-//! store landed: `store_ingest` (sealed-batch upsert of one sweep's
-//! cells) and `query_scan` (the figure-7 shaped `group_by`/`agg`).
+//! store landed: `store_ingest` (the sealed-batch upsert of one sweep's
+//! cells, and of one routed cell's row) and `query_scan` (the figure-7
+//! shaped `group_by`/`agg`).
 //!
 //! Allocation counts ride along where countable: the `lhr_perf` binary
 //! installs a counting global allocator and registers it through
@@ -725,11 +726,13 @@ pub fn collect_serving(cfg: &TimerConfig) -> Vec<LayerStat> {
     layers
 }
 
-/// The measurement-store layers: sealed-batch ingest (`store_ingest`,
-/// one 61-row upsert per iteration with every row changed so the
-/// supersede path and the per-column fsync batch are both paid) and the
-/// query engine's scan (`query_scan`, the figure-7 shaped
-/// `group_by`/`agg` over a ~500-row store, pure in-memory).
+/// The measurement-store layers: sealed-batch ingest (`store_ingest`:
+/// one 61-row upsert per iteration with every row changed, so the
+/// supersede path and the batch's one log line and fsync are both paid;
+/// then one single-row upsert per iteration with a never-seen config
+/// fingerprint, the upsert every routed cell pays) and the query
+/// engine's scan (`query_scan`, the figure-7 shaped `group_by`/`agg`
+/// over a ~500-row store, pure in-memory).
 ///
 /// # Panics
 ///
@@ -766,10 +769,12 @@ pub fn collect_store(cfg: &TimerConfig) -> Vec<LayerStat> {
 
     let dir = std::env::temp_dir().join(format!("lhr-perf-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut layers = Vec::with_capacity(2);
+    let mut layers = Vec::with_capacity(3);
 
     // Ingest: one sweep-sized batch, mutated every iteration so each
-    // upsert genuinely writes (18 sealed column lines + fsyncs).
+    // upsert genuinely writes (one sealed log line + one fsync). Then a
+    // routed cell's upsert into the store that now holds rows: one row
+    // whose config label and fingerprint are new dictionary strings.
     {
         let store = Store::open(&dir).expect("scratch store");
         let mut pass = 0.0f64;
@@ -777,6 +782,14 @@ pub fn collect_store(cfg: &TimerConfig) -> Vec<LayerStat> {
             pass += 1e-6;
             let rows: Vec<CellRow> = (0..61).map(|wl| mk_row(0, wl, pass)).collect();
             std::hint::black_box(store.upsert(&rows).expect("upsert"));
+        }));
+        let mut fresh = 0u64;
+        layers.push(time_layer("store_ingest/upsert_1row", "store_ingest", cfg, || {
+            fresh += 1;
+            let mut row = mk_row(1, 0, 0.0);
+            row.config = format!("chip-1 routed #{fresh}");
+            row.config_fp = format!("{:016x}", 1u64 << 32 | fresh);
+            std::hint::black_box(store.upsert(std::slice::from_ref(&row)).expect("upsert"));
         }));
     }
 
@@ -963,5 +976,17 @@ mod tests {
         assert!(report.ns_per_interval > 0.0);
         let round = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(round, report);
+        let store: Vec<String> = collect_store(&TimerConfig::smoke())
+            .into_iter()
+            .map(|l| l.id)
+            .collect();
+        assert_eq!(
+            store,
+            [
+                "store_ingest/upsert_61_cells",
+                "store_ingest/upsert_1row",
+                "query_scan/figure7_group_agg"
+            ]
+        );
     }
 }

@@ -19,10 +19,17 @@ use lhr_uarch::ChipConfig;
 
 use crate::harness::Evaluation;
 
-/// An observer for resolved cells. Implementations must be cheap
-/// relative to a simulation (they run on the measurement thread, after
-/// the cell resolves) and must swallow their own failures: persistence
-/// is a byproduct, the measurement is the product.
+/// An observer for resolved cells. Implementations run on the
+/// measurement thread, after the cell resolves and before the harness
+/// returns it (a server's client waits for them), so they must be cheap
+/// relative to a simulation, and must swallow their own failures:
+/// persistence is a byproduct, the measurement is the product.
+///
+/// Measured on a 2-vCPU VM with ext4 on virtio (`lhr_e2e --trace 1`,
+/// `routed_cold`): the `lhr-store` sink's one-row upsert, one sealed
+/// line and one fsync, took 0.08–0.10 ms p50 against 0.07–0.6 ms for
+/// the Quick cell it records. Its per-column predecessor, 19 fsyncs,
+/// took 1.3–2.0 ms.
 pub trait CellSink: Send + Sync + std::fmt::Debug {
     /// Called once per resolved cell (or per resolved unit on the
     /// campaign path) with the successful evaluations in workload order.

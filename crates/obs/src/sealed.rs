@@ -8,17 +8,18 @@
 //! {"k":v,...,"crc":"<16 hex>"}
 //! ```
 //!
-//! The campaign journal (`lhr_core::journal`), the cell store's column
-//! segments and dictionary, and the span store all persist records this
-//! way. A line torn by a crash, or damaged on disk, fails [`open_line`]
-//! and its reader skips it; nothing before it is lost.
+//! The campaign journal (`lhr_core::journal`), the cell store's batch
+//! log and the span store all persist records this way. A line torn by a
+//! crash, or damaged on disk, fails [`open_line`] and its reader skips
+//! it; nothing before it is lost.
 //!
 //! Bodies are written with [`push_json_string`](crate::push_json_string)
 //! and [`push_json_number`](crate::push_json_number) and read back with
-//! the field readers here ([`json_str`], [`json_f64`], [`json_u64`],
-//! [`json_array`]), which invert them exactly: a shortest-form `f64`
-//! re-parses to the identical bits, and a `u64` is parsed as an integer
-//! (span ids exceed 2^53, so a trip through `f64` would round them).
+//! the field readers here ([`json_str`], [`take_json_str`],
+//! [`json_f64`], [`json_u64`], [`json_array`]), which invert them
+//! exactly: a shortest-form `f64` re-parses to the identical bits, and a
+//! `u64` is parsed as an integer (span ids exceed 2^53, so a trip through
+//! `f64` would round them).
 //! The readers locate the first `"key":` in the text; they are not a
 //! general JSON parser.
 
@@ -84,13 +85,22 @@ fn scalar<'a>(body: &'a str, key: &str) -> Option<&'a str> {
 /// emits.
 #[must_use]
 pub fn json_str(body: &str, key: &str) -> Option<String> {
-    let rest = after_key(body, key)?.trim_start().strip_prefix('"')?;
+    take_json_str(after_key(body, key)?.trim_start()).map(|(s, _)| s)
+}
+
+/// Reads the string literal that opens `text`, with [`json_str`]'s
+/// unescaping, and returns it with the text after its closing quote.
+/// This is how a reader walks an array of strings, which
+/// [`json_array`] cannot split.
+#[must_use]
+pub fn take_json_str(text: &str) -> Option<(String, &str)> {
+    let rest = text.strip_prefix('"')?;
     let mut out = String::new();
-    let mut chars = rest.chars();
+    let mut chars = rest.char_indices();
     loop {
         match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
+            (at, '"') => return Some((out, &rest[at + 1..])),
+            (_, '\\') => match chars.next()?.1 {
                 '"' => out.push('"'),
                 '\\' => out.push('\\'),
                 '/' => out.push('/'),
@@ -98,13 +108,13 @@ pub fn json_str(body: &str, key: &str) -> Option<String> {
                 'r' => out.push('\r'),
                 't' => out.push('\t'),
                 'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
+                    let hex: String = chars.by_ref().take(4).map(|(_, c)| c).collect();
                     let code = u32::from_str_radix(&hex, 16).ok()?;
                     out.push(char::from_u32(code)?);
                 }
                 _ => return None,
             },
-            c => out.push(c),
+            (_, c) => out.push(c),
         }
     }
 }
@@ -339,6 +349,42 @@ mod tests {
             let line = sealed_string(&s);
             let body = open_line(&line).expect("fresh seal verifies");
             prop_assert_eq!(json_str(body, "k"), Some(s));
+        }
+
+        /// An array of any strings walks back element by element.
+        #[test]
+        fn string_arrays_walk_with_take_json_str(
+            picks in proptest::collection::vec(0usize..16, 0..40),
+            cuts in proptest::collection::vec(0usize..40, 0..4),
+        ) {
+            let s: String = picks.iter().map(|&i| PALETTE[i]).collect();
+            let mut parts: Vec<String> = vec![s.clone()];
+            for &cut in &cuts {
+                let at = s.char_indices().nth(cut).map_or(s.len(), |(i, _)| i);
+                parts.push(s[..at].to_owned());
+            }
+            let mut text = String::from("[");
+            for (i, part) in parts.iter().enumerate() {
+                if i > 0 {
+                    text.push(',');
+                }
+                push_json_string(&mut text, part);
+            }
+            text.push_str("],\"after\":1");
+            let mut rest = &text[1..];
+            let mut back = Vec::new();
+            loop {
+                let (part, after) = take_json_str(rest).expect("a string opens the rest");
+                back.push(part);
+                match after.strip_prefix(',') {
+                    Some(after) => rest = after,
+                    None => {
+                        prop_assert_eq!(after, "],\"after\":1");
+                        break;
+                    }
+                }
+            }
+            prop_assert_eq!(back, parts);
         }
 
         /// Every u64, including those above 2^53, reads back exactly.

@@ -24,8 +24,10 @@
 //! fingerprint (the same one backends key their cell caches on) mixed
 //! with the workload name, so a given cell always lands on the same
 //! backend and its cache. The other endpoints hash their canonical
-//! parameter strings. Campaign endpoints are deliberately not sharded
-//! (a campaign journals on one node); they answer `501`.
+//! parameter strings; a `POST /v1/query` forwards its body but keys on
+//! its target alone, so posted queries read one backend's store.
+//! Campaign endpoints are deliberately not sharded (a campaign journals
+//! on one node); they answer `501`.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -658,17 +660,19 @@ fn route(state: &Arc<RouterState>, req: &Request) -> Response {
         {
             forward(state, req)
         }
+        (Method::Post, "/v1/query") => forward(state, req),
         (Method::Post, _) => Response::error(
             405,
             "method_not_allowed",
-            "only /admin/drain and /admin/backends accept POST",
+            "only /admin/drain, /admin/backends and /v1/query accept POST",
         ),
         (Method::Get, _) => Response::error(
             404,
             "not_found",
             "unknown endpoint; see /healthz, /metrics, /v1/metrics, /v1/metrics/timeseries, \
              /v1/cell, /v1/sweep, /v1/pareto, /v1/findings, /v1/query, /v1/artifacts, \
-             /v1/traces, /v1/trace/<id>, POST /admin/drain, POST /admin/backends",
+             /v1/traces, /v1/trace/<id>, POST /v1/query, POST /admin/drain, \
+             POST /admin/backends",
         ),
     }
 }
@@ -738,6 +742,47 @@ fn shard_key(req: &Request) -> u64 {
     hash_key(canonical_target(req).as_bytes())
 }
 
+/// A request as the router forwards it: the client's method and, for a
+/// `POST`, its body, over the canonical target.
+#[derive(Debug)]
+struct Outbound {
+    method: Method,
+    target: String,
+    body: String,
+}
+
+impl Outbound {
+    fn new(req: &Request) -> Self {
+        Outbound {
+            method: req.method,
+            target: canonical_target(req),
+            body: match req.method {
+                Method::Get => String::new(),
+                Method::Post => req.body.clone(),
+            },
+        }
+    }
+
+    /// The bytes sent to a backend, with `x-lhr-trace` when a trace is
+    /// in force. A `GET` carries no body and no `Content-Length`.
+    fn render(&self, trace: Option<&str>) -> String {
+        let method = match self.method {
+            Method::Get => "GET",
+            Method::Post => "POST",
+        };
+        let mut raw = format!("{method} {} HTTP/1.1\r\nHost: lhr-router\r\n", self.target);
+        if let Some(header) = trace {
+            raw.push_str(&format!("x-lhr-trace: {header}\r\n"));
+        }
+        if self.method == Method::Post {
+            raw.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+        }
+        raw.push_str("\r\n");
+        raw.push_str(&self.body);
+        raw
+    }
+}
+
 /// Converts a validated backend response into a client response,
 /// preserving status, content type, and the `Retry-After` hint.
 fn to_response(resp: &HttpResponse) -> Response {
@@ -783,18 +828,12 @@ fn settles(resp: &HttpResponse) -> bool {
 fn exchange_recorded(
     state: &RouterState,
     backend: &Backend,
-    target: &str,
+    request: &Outbound,
 ) -> Result<HttpResponse, httpc::ClientError> {
     let mut span = state.obs.span("router.attempt");
     let trace = context::current_trace();
-    let raw = if trace == 0 {
-        format!("GET {target} HTTP/1.1\r\nHost: lhr-router\r\n\r\n")
-    } else {
-        format!(
-            "GET {target} HTTP/1.1\r\nHost: lhr-router\r\nx-lhr-trace: {}\r\n\r\n",
-            context::render_trace_header(trace, span.id(), 1)
-        )
-    };
+    let header = (trace != 0).then(|| context::render_trace_header(trace, span.id(), 1));
+    let raw = request.render(header.as_deref());
     let started = Instant::now();
     let outcome = httpc::exchange_timeouts(
         backend.addr,
@@ -826,12 +865,12 @@ fn exchange_recorded(
 /// Forwards a routable request: response cache, then the ring's
 /// candidates with skipping/hedging/backoff, then graceful degradation.
 fn forward(state: &Arc<RouterState>, req: &Request) -> Response {
-    let target = canonical_target(req);
+    let request = Arc::new(Outbound::new(req));
     // Query results aggregate each backend's live store, so unlike cell
     // and artifact bodies they change as cells land: never cache them.
     let cacheable = req.path != "/v1/query";
     if cacheable && state.config.route_cache > 0 {
-        if let Some(hit) = state.cache.lock().expect("cache lock").get(&target) {
+        if let Some(hit) = state.cache.lock().expect("cache lock").get(&request.target) {
             state.obs.counter("router.cache_hits", 1);
             return Response {
                 status: 200,
@@ -874,14 +913,14 @@ fn forward(state: &Arc<RouterState>, req: &Request) -> Response {
             .map(|&j| Arc::clone(&topo.backends[j]))
             .filter(|b| b.health() != HealthState::Down && health == HealthState::Suspect);
         let outcome = match hedge_mate {
-            Some(mate) => hedged_exchange(state, Arc::clone(backend), mate, &target),
-            None => exchange_recorded(state, backend, &target),
+            Some(mate) => hedged_exchange(state, Arc::clone(backend), mate, &request),
+            None => exchange_recorded(state, backend, &request),
         };
         match outcome {
             Ok(resp) if settles(&resp) => {
                 if cacheable && resp.status == 200 && state.config.route_cache > 0 {
                     state.cache.lock().expect("cache lock").put(
-                        target.clone(),
+                        request.target.clone(),
                         CachedBody {
                             content_type: static_content_type(resp.content_type()),
                             body: resp.body.clone(),
@@ -914,16 +953,15 @@ fn hedged_exchange(
     state: &Arc<RouterState>,
     primary: Arc<Backend>,
     mate: Arc<Backend>,
-    target: &str,
+    request: &Arc<Outbound>,
 ) -> Result<HttpResponse, httpc::ClientError> {
     let (tx, rx) = mpsc::channel();
-    let target: Arc<str> = Arc::from(target);
     let ctx = context::capture();
     let spawn = |backend: Arc<Backend>, tx: mpsc::Sender<_>| {
         let state = Arc::clone(state);
-        let target = Arc::clone(&target);
+        let request = Arc::clone(request);
         std::thread::spawn(move || {
-            let outcome = context::with_ctx(ctx, || exchange_recorded(&state, &backend, &target));
+            let outcome = context::with_ctx(ctx, || exchange_recorded(&state, &backend, &request));
             let _ = tx.send(outcome);
         });
     };
@@ -1237,6 +1275,35 @@ mod tests {
         // Decoded specials re-encode; the backend decodes them again.
         let req = get_req("/v1/artifacts/table%204.txt");
         assert_eq!(canonical_target(&req), "/v1/artifacts/table%204.txt");
+    }
+
+    #[test]
+    fn forwarded_gets_keep_their_bytes_and_posts_carry_their_body() {
+        let get = Outbound::new(&get_req("/v1/cell?chip=i7-45&workload=jess"));
+        assert_eq!(
+            get.render(None),
+            "GET /v1/cell?chip=i7-45&workload=jess HTTP/1.1\r\nHost: lhr-router\r\n\r\n"
+        );
+        assert_eq!(
+            get.render(Some("trace-header")),
+            "GET /v1/cell?chip=i7-45&workload=jess HTTP/1.1\r\nHost: lhr-router\r\n\
+             x-lhr-trace: trace-header\r\n\r\n"
+        );
+        let parse = |raw: &str| read_request(&mut BufReader::new(raw.as_bytes())).expect("parse");
+        // A body sent with a GET is not forwarded.
+        let get = parse("GET /v1/query?q=x HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n\r\nabc");
+        assert_eq!(
+            Outbound::new(&get).render(None),
+            "GET /v1/query?q=x HTTP/1.1\r\nHost: lhr-router\r\n\r\n"
+        );
+        let post = parse(
+            "POST /v1/query?format=json HTTP/1.1\r\nHost: t\r\nContent-Length: 12\r\n\r\nagg max(\"x\")",
+        );
+        assert_eq!(
+            Outbound::new(&post).render(Some("h")),
+            "POST /v1/query?format=json HTTP/1.1\r\nHost: lhr-router\r\nx-lhr-trace: h\r\n\
+             Content-Length: 12\r\n\r\nagg max(\"x\")"
+        );
     }
 
     #[test]

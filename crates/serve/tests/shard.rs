@@ -157,6 +157,61 @@ fn router_proxies_queries_and_typed_errors_byte_identically() {
 }
 
 #[test]
+fn posted_queries_forward_to_a_stored_backend_byte_for_byte() {
+    let store = std::env::temp_dir().join(format!("lhr-shard-query-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let telemetry = Telemetry::default();
+    let harness = quick_harness(&telemetry);
+    let config = ServerConfig {
+        store_dir: Some(store.clone()),
+        ..ServerConfig::default()
+    };
+    let backend = lhr_serve::start(config, harness, telemetry).expect("bind backend");
+    let (router, _) = boot_router(router_config(vec![backend.addr()], 64), false);
+    wait_all_up(&router);
+    let addr = router.addr();
+    let post = |to: SocketAddr, target: &str, body: &str| {
+        lhr_serve::httpc::post_body(to, target, body, Duration::from_secs(120))
+            .expect("http exchange")
+    };
+
+    // Cells routed to the backend land in its store.
+    for w in ["jess", "db"] {
+        let (status, body) = http_get(addr, &format!("/v1/cell?chip=i7-45&workload={w}"));
+        assert_eq!(status, 200, "{body}");
+    }
+    let query = "# mean power per workload\ngroup_by workload\n| agg mean(watts), max(perf_norm)\n";
+    for target in ["/v1/query", "/v1/query?format=json"] {
+        let direct = post(backend.addr(), target, query);
+        let routed = post(addr, target, query);
+        assert_eq!(direct.status, 200, "{}", direct.body_str());
+        assert_eq!(routed.status, direct.status, "{}", routed.body_str());
+        assert_eq!(routed.content_type(), direct.content_type());
+        assert_eq!(
+            routed.body, direct.body,
+            "{target}: the router must not touch the body"
+        );
+    }
+    // A typed 400 passes through the same way.
+    let direct = post(backend.addr(), "/v1/query", "group_by nope | frobnicate");
+    let routed = post(addr, "/v1/query", "group_by nope | frobnicate");
+    assert_eq!((routed.status, &routed.body), (400, &direct.body));
+
+    // Query answers stay out of the route cache: a new cell shows up in
+    // the next answer.
+    let before = post(addr, "/v1/query", query).body;
+    let (status, _) = http_get(addr, "/v1/cell?chip=i7-45&workload=mcf");
+    assert_eq!(status, 200);
+    let after = post(addr, "/v1/query", query);
+    assert_ne!(after.body, before, "a cached query would miss the new cell");
+    assert!(after.body_str().contains("mcf"), "{}", after.body_str());
+
+    drop(router);
+    drop(backend);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn killing_a_backend_never_surfaces_a_5xx() {
     let b0 = boot_backend();
     let b1 = boot_backend();

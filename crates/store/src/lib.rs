@@ -8,12 +8,12 @@
 //!
 //! Three pieces:
 //!
-//! * **The store** ([`Store`], [`store`] module) — one CRC-sealed,
-//!   fsynced segment file per column, a dictionary-encoded string
-//!   table, and the structural config/workload fingerprints from
-//!   `lhr_core::cache` as row keys with an in-memory index for O(1)
-//!   dedup/upsert. Torn or corrupted tails are dropped (never panic)
-//!   and repaired on open.
+//! * **The store** ([`Store`], [`store`] module) — in-memory columns
+//!   over one append-only log with one CRC-sealed line and one fsync
+//!   per upsert batch, a dictionary-encoded string table, and the
+//!   structural config/workload fingerprints from `lhr_core::cache` as
+//!   row keys with an in-memory index for O(1) dedup/upsert. Torn or
+//!   corrupted tails are dropped (never panic) and repaired on open.
 //! * **The query DSL** ([`dsl`] module) —
 //!   `filter | project | group_by | agg | sort | limit | pareto` over a
 //!   hand-rolled recursive-descent parser with typed byte positions.
@@ -25,7 +25,10 @@
 //!
 //! Ingestion is wired through `lhr_core::CellSink`: attach a store to a
 //! harness ([`Store`] implements the trait) and every resolved cell is
-//! upserted off the measurement path.
+//! upserted on the measurement path, on the thread that measured it,
+//! before the harness returns the cell. The upsert never changes a
+//! measured value, but its one fsync is time the caller waits for (a
+//! server's client included).
 //!
 //! ```
 //! use lhr_store::{CellRow, Store};

@@ -1,32 +1,47 @@
-//! The columnar cell store: one segment file per column, a shared
-//! dictionary for strings, CRC-sealed fsynced appends, and an in-memory
+//! The columnar cell store: in-memory columns over one append-only,
+//! checksummed batch log, a shared string dictionary, and an in-memory
 //! fingerprint index for O(1) dedup/upsert.
 //!
 //! # On-disk layout
 //!
-//! A store is a directory:
+//! A store is a directory holding one log, `cells.jsonl`. Each line is
+//! one upsert batch, sealed with the workspace's checksummed line format
+//! ([`lhr_obs::sealed`]) and shown wrapped here:
 //!
 //! ```text
-//! store/
-//!   strings.jsonl     {"i":<id>,"s":"<text>","crc":"<16 hex>"}
-//!   col_chip.jsonl    {"r":<start row>,"n":<rows>,"v":[...],"crc":"..."}
-//!   col_clock.jsonl   ...one file per schema column...
+//! {"r":<start row>,"n":<rows>,"s":[<new dictionary strings>],
+//!  "chip":[<ids>],...,"epi":[<numbers>],"crc":"<16 hex>"}
 //! ```
 //!
-//! Every line is sealed with the workspace's checksummed line format
-//! ([`lhr_obs::sealed`]) and every append is fsynced, so a crash tears at
-//! most the final line of each file. String columns store dictionary ids;
-//! numeric columns store `f64` values printed shortest-round-trip (the
-//! bytes re-parse to the identical bits).
+//! The batch's new strings take the next dictionary ids in order. Every
+//! schema column follows in [`SCHEMA`] order: string columns carry
+//! dictionary ids, numeric columns `f64` values printed
+//! shortest-round-trip (the bytes re-parse to the identical bits), with
+//! string tokens for the values JSON cannot spell: `"inf"`, `"-inf"`,
+//! `"nan"`, and `"nan:<16 hex bits>"` for a NaN other than [`f64::NAN`].
+//!
+//! # Durability
+//!
+//! An upsert that writes rows appends its one line with one write and
+//! `sync_data`s the log before it returns: one fsync per batch, whatever
+//! its size. The directory is fsynced once more when an upsert creates
+//! the log. An upsert whose rows are all duplicates touches no file.
 //!
 //! # Recovery
 //!
-//! [`Store::open`] reads each file up to its first torn, tampered, or
-//! non-contiguous line and drops the rest. The usable prefix is the
-//! minimum row count across all columns (an interrupted multi-file append
-//! leaves some columns one batch ahead); any file longer than that is
-//! rewritten from the surviving prefix so the next append starts from a
-//! consistent boundary. Open never panics on corruption.
+//! [`Store::open`] accepts the longest prefix of complete lines that
+//! verify and continue the row count, so a batch is atomic: its line
+//! verifies, or the whole batch is dropped. When it meets anything else
+//! (a torn, tampered or non-contiguous line, or a last line without its
+//! newline) it rewrites the log from the accepted prefix with
+//! [`write_atomic`], so the next append starts on a clean boundary. Open
+//! never panics on corruption.
+//!
+//! Stores written before the log keep one file per column plus
+//! `strings.jsonl` (the `legacy` module). Open reads such a directory
+//! once under its own recovery rules, writes every appended row into the
+//! log as one batch, then deletes the old files. When both exist, the
+//! log wins and the old files are deleted.
 //!
 //! # Upsert
 //!
@@ -37,18 +52,22 @@
 //! under campaign retries and replays.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use lhr_core::cache::{config_fingerprint, workload_fingerprint};
 use lhr_core::Evaluation;
-use lhr_obs::sealed::{
-    fnv64, json_array, json_str, json_u64, open_line, read_lines, seal_line, write_atomic,
-};
+use lhr_obs::sealed::{fnv64, open_line, seal_line, take_json_str, write_atomic};
 use lhr_obs::{push_json_number, push_json_string};
 use lhr_uarch::ChipConfig;
+
+mod legacy;
+
+/// The log file inside a store directory.
+const LOG: &str = "cells.jsonl";
 
 /// The type of one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,6 +264,149 @@ impl ColumnData {
             ColumnData::Num(v) => v.truncate(n),
         }
     }
+
+    fn extend(&mut self, other: ColumnData) {
+        match (self, other) {
+            (ColumnData::Str(dst), ColumnData::Str(src)) => dst.extend(src),
+            (ColumnData::Num(dst), ColumnData::Num(src)) => dst.extend(src),
+            _ => unreachable!("schema kind mismatch"),
+        }
+    }
+
+    /// Parses one written value: a dictionary id below `dict_len`, or a
+    /// number as [`push_num`] spells it.
+    fn push_token(&mut self, token: &str, dict_len: usize) -> Option<()> {
+        match self {
+            ColumnData::Str(v) => {
+                let id: u32 = token.parse().ok()?;
+                if id as usize >= dict_len {
+                    return None;
+                }
+                v.push(id);
+            }
+            ColumnData::Num(v) => v.push(parse_num(token)?),
+        }
+        Some(())
+    }
+
+    /// Appends the values, comma-separated.
+    fn push_values(&self, out: &mut String) {
+        match self {
+            ColumnData::Str(v) => {
+                for (i, id) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{id}");
+                }
+            }
+            ColumnData::Num(v) => {
+                for (i, x) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_num(out, *x);
+                }
+            }
+        }
+    }
+}
+
+/// One empty column per schema entry.
+fn empty_cols() -> Vec<ColumnData> {
+    SCHEMA
+        .iter()
+        .map(|c| match c.kind {
+            ColKind::Str => ColumnData::Str(Vec::new()),
+            ColKind::Num => ColumnData::Num(Vec::new()),
+        })
+        .collect()
+}
+
+/// One upsert batch, the unit the log seals: rows `start..start + n` and
+/// the dictionary strings they introduced.
+struct Batch {
+    start: usize,
+    strings: Vec<String>,
+    cols: Vec<ColumnData>,
+}
+
+impl Batch {
+    fn rows(&self) -> usize {
+        self.cols[0].len()
+    }
+
+    /// The batch as one sealed log line, newline included.
+    fn line(&self) -> String {
+        let mut body = format!("{{\"r\":{},\"n\":{},\"s\":[", self.start, self.rows());
+        for (i, s) in self.strings.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            push_json_string(&mut body, s);
+        }
+        body.push(']');
+        for (spec, data) in SCHEMA.iter().zip(&self.cols) {
+            let _ = write!(body, ",\"{}\":[", spec.name);
+            data.push_values(&mut body);
+            body.push(']');
+        }
+        let mut line = seal_line(body);
+        line.push('\n');
+        line
+    }
+
+    /// Parses a line [`Batch::line`] wrote (without its newline). `None`
+    /// unless it verifies, starts at row `rows`, has `n` values in every
+    /// column, and references only the first `dict_len` dictionary ids
+    /// and its own strings.
+    fn parse(line: &str, rows: usize, dict_len: usize) -> Option<Batch> {
+        let body = open_line(line)?;
+        let (start, rest) = take_uint(body.strip_prefix("{\"r\":")?)?;
+        let (n, rest) = take_uint(rest.strip_prefix(",\"n\":")?)?;
+        let mut rest = rest.strip_prefix(",\"s\":[")?;
+        let mut strings = Vec::new();
+        while !rest.starts_with(']') {
+            if !strings.is_empty() {
+                rest = rest.strip_prefix(',')?;
+            }
+            let (s, after) = take_json_str(rest)?;
+            strings.push(s);
+            rest = after;
+        }
+        rest = &rest[1..];
+        let dict_len = dict_len + strings.len();
+        let mut cols = empty_cols();
+        for (spec, data) in SCHEMA.iter().zip(&mut cols) {
+            let values = rest
+                .strip_prefix(",\"")?
+                .strip_prefix(spec.name)?
+                .strip_prefix("\":[")?;
+            let (values, after) = values.split_once(']')?;
+            rest = after;
+            if !values.is_empty() {
+                for token in values.split(',') {
+                    data.push_token(token, dict_len)?;
+                }
+            }
+            if data.len() != n {
+                return None;
+            }
+        }
+        (rest.is_empty() && start == rows).then_some(Batch {
+            start,
+            strings,
+            cols,
+        })
+    }
+}
+
+/// The unsigned integer that opens `text`, and the text after it.
+fn take_uint(text: &str) -> Option<(usize, &str)> {
+    let end = text
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(text.len());
+    Some((text[..end].parse().ok()?, &text[end..]))
 }
 
 /// Counts of what one [`Store::upsert`] call actually did.
@@ -254,24 +416,22 @@ pub struct UpsertStats {
     pub written: usize,
     /// Rows skipped because an identical row is already live.
     pub deduped: usize,
+    /// Fsyncs the call made: 1 when it wrote rows (the log's
+    /// `sync_data`), plus 1 for the directory when it created the log,
+    /// and 0 when every row was a duplicate.
+    pub syncs: usize,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     dict: Vec<String>,
     dict_index: HashMap<String, u32>,
-    cols: Vec<ColumnData>,
     /// Appended rows, including superseded versions of upserted keys.
-    appended: usize,
+    cols: Vec<ColumnData>,
     /// `(config_fp, workload_fp) -> latest row id`.
     index: HashMap<(String, String), usize>,
-    files: Option<Files>,
-}
-
-#[derive(Debug)]
-struct Files {
-    strings: File,
-    cols: Vec<File>,
+    /// The log, opened for appending by the first upsert that writes.
+    log: Option<File>,
 }
 
 /// The columnar measurement store. All operations are internally
@@ -283,92 +443,51 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (or creates) a store directory, recovering from any torn or
-    /// corrupted segment tails. Never panics on bad file contents.
+    /// Opens (or creates) a store directory, recovering from a torn or
+    /// corrupted log tail and migrating a per-column store to the log.
+    /// Never panics on bad file contents.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors (directory creation, reads, and the
-    /// rewrite of damaged segments).
+    /// Propagates filesystem errors (directory creation, reads, the
+    /// rewrite of a damaged log, and a migration's writes and deletes).
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let mut inner = Inner {
-            cols: SCHEMA
-                .iter()
-                .map(|c| match c.kind {
-                    ColKind::Str => ColumnData::Str(Vec::new()),
-                    ColKind::Num => ColumnData::Num(Vec::new()),
-                })
-                .collect(),
+            cols: empty_cols(),
             ..Inner::default()
         };
-
-        // The dictionary: accept the valid contiguous prefix.
-        let mut dict_clean = true;
-        for line in read_lines(&dir.join("strings.jsonl"))? {
-            let parsed = open_line(&line).and_then(|body| {
-                let id = json_u64(body, "i")?;
-                let s = json_str(body, "s")?;
-                (id == inner.dict.len() as u64).then_some(s)
-            });
-            match parsed {
-                Some(s) => {
-                    inner.dict_index.insert(s.clone(), inner.dict.len() as u32);
-                    inner.dict.push(s);
+        let path = dir.join(LOG);
+        match std::fs::read(&path) {
+            Ok(bytes) => {
+                // Accept whole lines while they verify and continue the
+                // rows; cut the log back to them otherwise.
+                let text = String::from_utf8_lossy(&bytes);
+                let mut kept = 0;
+                for piece in text.split_inclusive('\n') {
+                    let Some(batch) = piece
+                        .strip_suffix('\n')
+                        .and_then(|line| Batch::parse(line, inner.rows(), inner.dict.len()))
+                    else {
+                        break;
+                    };
+                    inner.commit(batch);
+                    kept += piece.len();
                 }
-                None => {
-                    dict_clean = false;
-                    break;
-                }
-            }
-        }
-
-        // Each column: accept sealed, contiguous batches.
-        let mut clean = vec![true; SCHEMA.len()];
-        for (ci, spec) in SCHEMA.iter().enumerate() {
-            let data = &mut inner.cols[ci];
-            for line in read_lines(&dir.join(col_file(spec.name)))? {
-                if !parse_batch(&line, data, spec.kind, inner.dict.len()) {
-                    clean[ci] = false;
-                    break;
+                if kept < text.len() {
+                    write_atomic(&path, &text.as_bytes()[..kept])?;
                 }
             }
-        }
-
-        // The usable prefix is what every column agrees on.
-        let usable = inner.cols.iter().map(ColumnData::len).min().unwrap_or(0);
-        let mut repair: Vec<usize> = Vec::new();
-        for (ci, data) in inner.cols.iter_mut().enumerate() {
-            if data.len() > usable || !clean[ci] {
-                data.truncate(usable);
-                repair.push(ci);
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                if let Some(batch) = legacy::load(&dir)? {
+                    write_atomic(&path, batch.line().as_bytes())?;
+                    inner.commit(batch);
+                }
             }
+            Err(e) => return Err(e),
         }
-        inner.appended = usable;
-
-        // Rewrite damaged or over-long segments from the surviving
-        // prefix so appends resume from a consistent boundary.
-        for ci in repair {
-            rewrite_column(&dir, ci, &inner.cols[ci])?;
-        }
-        if !dict_clean {
-            let mut buf = String::new();
-            for (id, s) in inner.dict.iter().enumerate() {
-                push_dict_line(&mut buf, id as u64, s);
-            }
-            write_atomic(&dir.join("strings.jsonl"), buf.as_bytes())?;
-        }
-
-        // Replay the upsert log: last row per key wins.
-        for row in 0..usable {
-            let key = (
-                inner.str_at(4, row).to_owned(),
-                inner.str_at(5, row).to_owned(),
-            );
-            inner.index.insert(key, row);
-        }
-
+        legacy::remove(&dir)?;
         Ok(Store {
             dir,
             inner: Mutex::new(inner),
@@ -394,14 +513,15 @@ impl Store {
     }
 
     /// Upserts a batch of rows: identical rows are skipped without any
-    /// disk traffic; new or changed rows are appended as one sealed,
-    /// fsynced line per column (one batch amortizes the fsyncs).
+    /// disk traffic; new or changed rows, with the dictionary strings
+    /// they add, are appended to the log as one sealed line and synced
+    /// once before the call returns.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; on error the in-memory state is
     /// unchanged (the batch is all-or-nothing in memory, and a torn
-    /// partial batch on disk is dropped by the next [`Store::open`]).
+    /// partial line on disk is dropped by the next [`Store::open`]).
     pub fn upsert(&self, rows: &[CellRow]) -> io::Result<UpsertStats> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
@@ -424,102 +544,11 @@ impl Store {
             return Ok(stats);
         }
         stats.written = fresh.len();
-
-        // Stage everything (dictionary additions included) before any
-        // write so an I/O error leaves memory untouched.
-        let mut new_strings: Vec<String> = Vec::new();
-        let mut staged: HashMap<String, u32> = HashMap::new();
-        let dict_len = inner.dict.len();
-        let mut intern = |dict_index: &HashMap<String, u32>, s: &str| -> u32 {
-            if let Some(&id) = dict_index.get(s) {
-                return id;
-            }
-            if let Some(&id) = staged.get(s) {
-                return id;
-            }
-            let id = (dict_len + new_strings.len()) as u32;
-            new_strings.push(s.to_owned());
-            staged.insert(s.to_owned(), id);
-            id
-        };
-
-        let start = inner.appended;
-        let mut col_values: Vec<ColumnData> = SCHEMA
-            .iter()
-            .map(|c| match c.kind {
-                ColKind::Str => ColumnData::Str(Vec::new()),
-                ColKind::Num => ColumnData::Num(Vec::new()),
-            })
-            .collect();
-        for row in &fresh {
-            for (ci, staged_col) in col_values.iter_mut().enumerate() {
-                match (staged_col, row.value(ci)) {
-                    (ColumnData::Str(v), RowVal::Str(s)) => {
-                        v.push(intern(&inner.dict_index, s));
-                    }
-                    (ColumnData::Num(v), RowVal::Num(x)) => v.push(x),
-                    _ => unreachable!("schema kind mismatch"),
-                }
-            }
-        }
-        // Disk first: dictionary additions, then one batch per column.
-        let base = inner.dict.len() as u64;
-        let files = inner.files(&self.dir)?;
-        let mut buf = String::new();
-        for (k, s) in new_strings.iter().enumerate() {
-            push_dict_line(&mut buf, base + k as u64, s);
-        }
-        if !buf.is_empty() {
-            files.strings.write_all(buf.as_bytes())?;
-            files.strings.sync_data()?;
-        }
-        for (ci, staged_col) in col_values.iter().enumerate() {
-            let mut body = format!("{{\"r\":{start},\"n\":{}", fresh.len());
-            body.push_str(",\"v\":[");
-            match staged_col {
-                ColumnData::Str(v) => {
-                    for (i, id) in v.iter().enumerate() {
-                        if i > 0 {
-                            body.push(',');
-                        }
-                        let _ = std::fmt::Write::write_fmt(&mut body, format_args!("{id}"));
-                    }
-                }
-                ColumnData::Num(v) => {
-                    for (i, x) in v.iter().enumerate() {
-                        if i > 0 {
-                            body.push(',');
-                        }
-                        push_num(&mut body, *x);
-                    }
-                }
-            }
-            body.push(']');
-            let mut line = seal_line(body);
-            line.push('\n');
-            files.cols[ci].write_all(line.as_bytes())?;
-            files.cols[ci].sync_data()?;
-        }
-
-        // Commit to memory only after every write landed.
-        for s in new_strings {
-            inner.dict_index.insert(s.clone(), inner.dict.len() as u32);
-            inner.dict.push(s);
-        }
-        for (ci, staged_col) in col_values.into_iter().enumerate() {
-            match (&mut inner.cols[ci], staged_col) {
-                (ColumnData::Str(dst), ColumnData::Str(src)) => dst.extend(src),
-                (ColumnData::Num(dst), ColumnData::Num(src)) => dst.extend(src),
-                _ => unreachable!("schema kind mismatch"),
-            }
-        }
-        for (k, row) in fresh.iter().enumerate() {
-            inner.index.insert(
-                (row.config_fp.clone(), row.workload_fp.clone()),
-                start + k,
-            );
-        }
-        inner.appended = start + stats.written;
+        // Disk first, memory only after the line is synced, so an I/O
+        // error leaves memory untouched.
+        let batch = inner.stage(&fresh);
+        stats.syncs = inner.append(&self.dir, &batch.line())?;
+        inner.commit(batch);
         Ok(stats)
     }
 
@@ -561,6 +590,11 @@ impl LiveView<'_> {
 }
 
 impl Inner {
+    /// Appended rows, superseded versions included.
+    fn rows(&self) -> usize {
+        self.cols[0].len()
+    }
+
     fn str_at(&self, col: usize, row: usize) -> &str {
         match &self.cols[col] {
             ColumnData::Str(v) => &self.dict[v[row] as usize],
@@ -576,24 +610,80 @@ impl Inner {
         })
     }
 
-    fn files(&mut self, dir: &Path) -> io::Result<&mut Files> {
-        if self.files.is_none() {
-            let open = |name: &str| {
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(dir.join(name))
-            };
-            let mut cols = Vec::with_capacity(SCHEMA.len());
-            for spec in &SCHEMA {
-                cols.push(open(&col_file(spec.name))?);
+    /// Encodes `rows` as the next batch, interning strings the
+    /// dictionary lacks as the batch's own (memory is not touched).
+    fn stage(&self, rows: &[&CellRow]) -> Batch {
+        let mut strings: Vec<String> = Vec::new();
+        let mut staged: HashMap<&str, u32> = HashMap::new();
+        let mut cols = empty_cols();
+        for row in rows {
+            for (ci, col) in cols.iter_mut().enumerate() {
+                match (col, row.value(ci)) {
+                    (ColumnData::Str(v), RowVal::Str(s)) => {
+                        let id = self.dict_index.get(s).copied().unwrap_or_else(|| {
+                            *staged.entry(s).or_insert_with(|| {
+                                strings.push(s.to_owned());
+                                (self.dict.len() + strings.len() - 1) as u32
+                            })
+                        });
+                        v.push(id);
+                    }
+                    (ColumnData::Num(v), RowVal::Num(x)) => v.push(x),
+                    _ => unreachable!("schema kind mismatch"),
+                }
             }
-            self.files = Some(Files {
-                strings: open("strings.jsonl")?,
-                cols,
-            });
         }
-        Ok(self.files.as_mut().expect("just opened"))
+        Batch {
+            start: self.rows(),
+            strings,
+            cols,
+        }
+    }
+
+    /// Adds a batch that is on disk to memory: its strings, its rows,
+    /// and the index entries they take over (last wins).
+    fn commit(&mut self, batch: Batch) {
+        for s in batch.strings {
+            self.dict_index.insert(s.clone(), self.dict.len() as u32);
+            self.dict.push(s);
+        }
+        for (dst, src) in self.cols.iter_mut().zip(batch.cols) {
+            dst.extend(src);
+        }
+        for row in batch.start..self.rows() {
+            let key = (
+                self.str_at(4, row).to_owned(),
+                self.str_at(5, row).to_owned(),
+            );
+            self.index.insert(key, row);
+        }
+    }
+
+    /// Appends one line to the log and syncs it. Returns the fsyncs
+    /// made: the log's, plus the directory's when this created the log.
+    fn append(&mut self, dir: &Path, line: &str) -> io::Result<usize> {
+        let mut syncs = 1;
+        if self.log.is_none() {
+            let path = dir.join(LOG);
+            let file = match OpenOptions::new().append(true).create_new(true).open(&path) {
+                Ok(file) => {
+                    // Make the new directory entry durable once, so a
+                    // synced batch is never lost with its file name.
+                    File::open(dir)?.sync_all()?;
+                    syncs += 1;
+                    file
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    OpenOptions::new().append(true).open(&path)?
+                }
+                Err(e) => return Err(e),
+            };
+            self.log = Some(file);
+        }
+        let log = self.log.as_mut().expect("just opened");
+        log.write_all(line.as_bytes())?;
+        log.sync_data()?;
+        Ok(syncs)
     }
 }
 
@@ -613,26 +703,17 @@ impl lhr_core::CellSink for Store {
     }
 }
 
-fn col_file(name: &str) -> String {
-    format!("col_{name}.jsonl")
-}
-
-fn push_dict_line(buf: &mut String, id: u64, s: &str) {
-    let mut body = format!("{{\"i\":{id},\"s\":");
-    push_json_string(&mut body, s);
-    buf.push_str(&seal_line(body));
-    buf.push('\n');
-}
-
-/// Appends `x` in shortest-round-trip form; non-finite values use the
-/// dedicated tokens `nan`/`inf`/`-inf` (this is a private segment
-/// format, not interchange JSON, and losing NaN-ness would change
-/// bytes downstream).
+/// Appends `x` in shortest-round-trip form. Values JSON cannot spell
+/// get string tokens: `"inf"`, `"-inf"`, `"nan"` for [`f64::NAN`], and
+/// `"nan:<16 hex bits>"` for any other NaN. Every value reads back with
+/// its exact bits, so a row that dedups in memory dedups after a reopen.
 fn push_num(body: &mut String, x: f64) {
     if x.is_finite() {
         push_json_number(body, x);
-    } else if x.is_nan() {
+    } else if x.to_bits() == f64::NAN.to_bits() {
         body.push_str("\"nan\"");
+    } else if x.is_nan() {
+        let _ = write!(body, "\"nan:{:016x}\"", x.to_bits());
     } else if x > 0.0 {
         body.push_str("\"inf\"");
     } else {
@@ -645,85 +726,11 @@ fn parse_num(token: &str) -> Option<f64> {
         "\"nan\"" => Some(f64::NAN),
         "\"inf\"" => Some(f64::INFINITY),
         "\"-inf\"" => Some(f64::NEG_INFINITY),
-        t => t.parse().ok(),
-    }
-}
-
-/// Parses one sealed batch line into `data`; `true` when the line is
-/// intact, contiguous, and self-consistent.
-fn parse_batch(line: &str, data: &mut ColumnData, kind: ColKind, dict_len: usize) -> bool {
-    let Some(body) = open_line(line) else {
-        return false;
-    };
-    let (Some(r), Some(n), Some(vals)) = (
-        json_u64(body, "r"),
-        json_u64(body, "n"),
-        json_array(body, "v"),
-    ) else {
-        return false;
-    };
-    if r as usize != data.len() || n as usize != vals.len() {
-        return false;
-    }
-    match (kind, data) {
-        (ColKind::Str, ColumnData::Str(v)) => {
-            let start = v.len();
-            for tok in vals {
-                match tok.parse::<u32>() {
-                    Ok(id) if (id as usize) < dict_len => v.push(id),
-                    _ => {
-                        // A dangling dictionary reference poisons the
-                        // whole batch: roll it back.
-                        v.truncate(start);
-                        return false;
-                    }
-                }
+        t => match t.strip_prefix("\"nan:").and_then(|t| t.strip_suffix('"')) {
+            Some(hex) => {
+                Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?)).filter(|x| x.is_nan())
             }
-            true
-        }
-        (ColKind::Num, ColumnData::Num(v)) => {
-            let start = v.len();
-            for tok in vals {
-                match parse_num(tok) {
-                    Some(x) => v.push(x),
-                    None => {
-                        v.truncate(start);
-                        return false;
-                    }
-                }
-            }
-            true
-        }
-        _ => false,
+            None => t.parse().ok(),
+        },
     }
-}
-
-fn rewrite_column(dir: &Path, ci: usize, data: &ColumnData) -> io::Result<()> {
-    let mut buf = String::new();
-    let n = data.len();
-    if n > 0 {
-        let mut body = format!("{{\"r\":0,\"n\":{n},\"v\":[");
-        match data {
-            ColumnData::Str(v) => {
-                for (i, id) in v.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    let _ = std::fmt::Write::write_fmt(&mut body, format_args!("{id}"));
-                }
-            }
-            ColumnData::Num(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    push_num(&mut body, *x);
-                }
-            }
-        }
-        body.push(']');
-        buf.push_str(&seal_line(body));
-        buf.push('\n');
-    }
-    write_atomic(&dir.join(col_file(SCHEMA[ci].name)), buf.as_bytes())
 }
