@@ -5,6 +5,7 @@ use lhr_bench::Fidelity;
 use lhr_core::experiments::ablation;
 
 fn main() {
+    lhr_bench::check_args("ablations", &[lhr_bench::FIDELITY_FLAGS]);
     let harness = Fidelity::from_args().harness();
     let services = ablation::jvm_service_ablation(
         &harness,

@@ -12,6 +12,7 @@ use lhr_core::experiments::{
 use lhr_core::{Harness, Runner};
 
 fn main() {
+    lhr_bench::check_args("calibrate", &[&[("--full", false)]]);
     let full = std::env::args().any(|a| a == "--full");
     let harness = if full {
         Harness::new(Runner::new().with_invocations(3))

@@ -9,6 +9,7 @@ use lhr_bench::Fidelity;
 use lhr_core::{configs, Table};
 
 fn main() {
+    lhr_bench::check_args("dataset", &[lhr_bench::FIDELITY_FLAGS]);
     let fidelity = Fidelity::from_args();
     let harness = fidelity.harness();
     let mut table = Table::new([

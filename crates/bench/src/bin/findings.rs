@@ -67,6 +67,10 @@ fn guarded<T>(obs: &Observability, name: &str, f: impl FnOnce() -> T) -> Option<
 
 #[allow(clippy::too_many_lines)]
 fn main() {
+    lhr_bench::check_args(
+        "findings",
+        &[lhr_bench::FIDELITY_FLAGS, lhr_bench::TRACE_FLAGS],
+    );
     let observability = Observability::from_args();
     let harness: Harness = observability.arm(Fidelity::from_args().harness());
     let mut audit = Audit { passed: 0, failed: 0, skipped: 0 };

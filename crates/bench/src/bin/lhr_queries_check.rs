@@ -44,6 +44,10 @@ fn first_diff(a: &str, b: &str) -> String {
 
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
+    lhr_bench::check_args(
+        "lhr_queries_check",
+        &[&[("--quick", false), ("--fast-full", false)]],
+    );
     let quick = std::env::args().any(|a| a == "--quick");
     let fast_full = std::env::args().any(|a| a == "--fast-full");
     let dir = std::env::temp_dir().join(format!("lhr-queries-check-{}", std::process::id()));

@@ -21,16 +21,21 @@
 //! catalog, 3 invocations, artifacts in `repro_out/`.
 //!
 //! Exit codes: 0 clean; 1 failed experiments; 2 artifact checksum
-//! mismatch against the journal; 3 campaign aborted (resume to finish).
+//! mismatch against the journal, or an unknown argument; 3 campaign
+//! aborted (resume to finish).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use lhr_bench::campaign::{self, CampaignOptions};
-use lhr_bench::{run_experiment, Fidelity, Observability, EXPERIMENTS};
+use lhr_bench::{
+    run_experiment, Fidelity, Observability, CAMPAIGN_FLAGS, EXPERIMENTS, FIDELITY_FLAGS,
+    TRACE_FLAGS,
+};
 use lhr_obs::sealed::{fnv64, write_atomic};
 
 fn main() {
+    lhr_bench::check_args("repro_all", &[FIDELITY_FLAGS, TRACE_FLAGS, CAMPAIGN_FLAGS]);
     let fidelity = Fidelity::from_args();
     let observability = Observability::from_args();
     let mut opts = CampaignOptions::from_args();

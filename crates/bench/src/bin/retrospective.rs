@@ -5,6 +5,7 @@ use lhr_bench::Fidelity;
 use lhr_core::experiments::retrospective;
 
 fn main() {
+    lhr_bench::check_args("retrospective", &[lhr_bench::FIDELITY_FLAGS]);
     let harness = Fidelity::from_args().harness();
     let r = retrospective::run(&harness);
     println!("{}", retrospective::render(&r));

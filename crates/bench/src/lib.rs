@@ -53,6 +53,70 @@ use lhr_core::experiments::{
 };
 use lhr_core::{configs, Harness, Runner};
 
+/// A command-line flag a regenerator binary accepts: its name, and
+/// whether a value follows it.
+pub type Flag = (&'static str, bool);
+
+/// `--quick` and `--paper` (see [`Fidelity`]): every regenerator binary
+/// takes them.
+pub const FIDELITY_FLAGS: &[Flag] = &[("--quick", false), ("--paper", false)];
+
+/// `--trace <path>` (see [`Observability`]).
+pub const TRACE_FLAGS: &[Flag] = &[("--trace", true)];
+
+/// The campaign flags (see [`campaign::CampaignOptions`]).
+pub const CAMPAIGN_FLAGS: &[Flag] = &[
+    ("--journal", true),
+    ("--resume", false),
+    ("--max-cell-seconds", true),
+    ("--jobs", true),
+    ("--abort-after", true),
+    ("--out-dir", true),
+];
+
+/// The first of `args` that is neither one of `flags` nor the value of
+/// one that takes a value.
+#[must_use]
+pub fn unknown_arg<'a>(args: &'a [String], flags: &[&[Flag]]) -> Option<&'a str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match flags
+            .iter()
+            .flat_map(|group| group.iter())
+            .find(|(name, _)| name == arg)
+        {
+            Some((_, true)) => {
+                args.next();
+            }
+            Some((_, false)) => {}
+            None => return Some(arg),
+        }
+    }
+    None
+}
+
+/// Rejects an argument `bin` does not accept: prints it and a usage
+/// line listing `flags` to stderr and exits with status 2. A mistyped
+/// `--quick` would otherwise run at the slow default fidelity.
+pub fn check_args(bin: &str, flags: &[&[Flag]]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_arg(&args, flags) {
+        let usage: String = flags
+            .iter()
+            .flat_map(|group| group.iter())
+            .map(|&(name, value)| {
+                if value {
+                    format!(" [{name} <value>]")
+                } else {
+                    format!(" [{name}]")
+                }
+            })
+            .collect();
+        eprintln!("{bin}: unknown argument {arg:?}\nusage: {bin}{usage}");
+        std::process::exit(2);
+    }
+}
+
 /// Fidelity level selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
@@ -334,6 +398,7 @@ pub fn run_experiment(name: &str, harness: &Harness) -> String {
 /// supervisor first -- journaled, deadline-watched, resumable -- and
 /// the experiment then renders from the warmed cache.
 pub fn main_for(name: &str) {
+    check_args(name, &[FIDELITY_FLAGS, TRACE_FLAGS, CAMPAIGN_FLAGS]);
     let fidelity = Fidelity::from_args();
     let observability = Observability::from_args();
     let opts = campaign::CampaignOptions::from_args();
@@ -361,6 +426,22 @@ mod tests {
         let harness = Harness::quick();
         assert!(run_experiment("table1", &harness).contains("mcf"));
         assert!(run_experiment("table3", &harness).contains("SLBCH"));
+    }
+
+    #[test]
+    fn unknown_args_are_found_and_flag_values_are_skipped() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        let all: &[&[Flag]] = &[FIDELITY_FLAGS, TRACE_FLAGS, CAMPAIGN_FLAGS];
+        let ok = args(&["--quick", "--jobs", "2", "--out-dir", "--quik", "--resume"]);
+        assert_eq!(unknown_arg(&ok, all), None, "a value is never a flag");
+        assert_eq!(unknown_arg(&args(&["--quik"]), all), Some("--quik"));
+        assert_eq!(unknown_arg(&args(&["--paper", "fast"]), all), Some("fast"));
+        let fidelity_only = args(&["--quick", "--trace", "t.jsonl"]);
+        assert_eq!(
+            unknown_arg(&fidelity_only, &[FIDELITY_FLAGS]),
+            Some("--trace")
+        );
+        assert_eq!(unknown_arg(&[], &[FIDELITY_FLAGS]), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `trace_gen`         | workload-descriptor → software-thread traces   |
 //! | `interval_core`     | the interval model (`phase_performance`) and one cold miss-rate estimate |
 //! | `energy_integration`| per-slice energy metering + waveform append    |
-//! | `adc_sensor`        | the validating rig pass, one run and a batch of 3 |
+//! | `adc_sensor`        | the validating rig pass: one 10 s run, a batch of three, and a width-3 pass over three Standard-fidelity invocations |
 //! | `cell_e2e`          | one uncached `(config, workload)` cell         |
 //! | `serve_cache_hit`   | the serving layer's warm-cache lookup          |
 //!
@@ -42,7 +42,9 @@ use lhr_power::{
     ActivityCounters, EnergyModel, NodeScaling, PowerMeters, PowerWaveform, Structure,
 };
 use lhr_sensors::MeasurementRig;
-use lhr_uarch::{phase_performance, ChipConfig, Environment, MissRateEstimator, ProcessorId};
+use lhr_uarch::{
+    phase_performance, ChipConfig, ChipSimulator, Environment, MissRateEstimator, ProcessorId,
+};
 use lhr_units::{Seconds, Watts};
 use lhr_workloads::by_name;
 
@@ -578,6 +580,30 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
         layers.push(time_layer("adc_sensor/rig_batch3_10s", "adc_sensor", cfg, || {
             std::hint::black_box(rig.measure_batch(&batch));
         }));
+        // Three Standard-fidelity invocations of one cell on its
+        // machine's rig, read in one width-3 pass: the rig's part of a
+        // `cells_cold` cell, where a 10 s run's 500 samples hide the
+        // per-sample cost.
+        let spec = ProcessorId::Core2DuoE6600.spec();
+        let config = ChipConfig::stock(spec);
+        let hmmer = by_name("hmmer").expect("catalog workload");
+        let standard: Vec<PowerWaveform> = (0..3u64)
+            .map(|seed| ChipSimulator::new().run(&config, hmmer, seed).waveform)
+            .collect();
+        let rig = MeasurementRig::for_max_power(
+            Watts::new(spec.power.tdp_w),
+            0x0d1e_5ee0 ^ spec.id as u64,
+        )
+        .expect("rig calibrates");
+        let batch: Vec<&PowerWaveform> = standard.iter().collect();
+        layers.push(time_layer(
+            "adc_sensor/rig_batch3_standard",
+            "adc_sensor",
+            cfg,
+            || {
+                std::hint::black_box(rig.measure_batch(&batch));
+            },
+        ));
     }
 
     // end-to-end cell: one uncached (configuration, workload) cell on a
@@ -966,6 +992,7 @@ mod tests {
                 "interval_core",
                 "interval_core",
                 "energy_integration",
+                "adc_sensor",
                 "adc_sensor",
                 "adc_sensor",
                 "cell_e2e",

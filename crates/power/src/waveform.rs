@@ -93,12 +93,30 @@ impl PowerWaveform {
         if self.samples.is_empty() {
             return Watts::ZERO;
         }
+        self.slice_power(self.slice_index(t))
+    }
+
+    /// The index of the slice [`PowerWaveform::power_at`] reads at time
+    /// `t`: `floor(t / slice)`, clamped to the last slice (0 for an empty
+    /// waveform). Non-decreasing in `t`.
+    #[must_use]
+    pub fn slice_index(&self, t: Seconds) -> usize {
         // A float-to-unsigned cast truncates toward zero and saturates
         // negatives and NaN to 0, which is exactly `floor` followed by
         // the cast -- without `floor`, a software routine on baseline
         // x86-64.
         let idx = (t.value() / self.slice.value()) as usize;
-        Watts::new(self.samples[idx.min(self.samples.len() - 1)])
+        idx.min(self.samples.len().saturating_sub(1))
+    }
+
+    /// The average power of slice `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`PowerWaveform::len`].
+    #[must_use]
+    pub fn slice_power(&self, index: usize) -> Watts {
+        Watts::new(self.samples[index])
     }
 
     /// Total energy: the integral of power over the run.

@@ -1,7 +1,10 @@
 //! The Allegro ACS714 Hall-effect linear current sensor.
 
-use lhr_trace::{Rng64, SplitMix64, Xoshiro256StarStar};
+use lhr_trace::{normal_from_uniforms, Rng64, SplitMix64, Xoshiro256StarStar};
 use lhr_units::{Amperes, Volts};
+
+/// The sensor's output rails: its output saturates at 0 V and 5 V.
+const RAIL_V: f64 = 5.0;
 
 /// A Hall-effect current sensor with realistic imperfections.
 ///
@@ -78,7 +81,7 @@ impl HallSensor {
     /// The noiseless transfer function (used in tests and documentation).
     #[must_use]
     pub fn ideal_output(&self, current: Amperes) -> Volts {
-        Volts::new(self.offset_ideal(current).clamp(0.0, 5.0))
+        Self::rails(self.offset_ideal(current))
     }
 
     /// The noiseless output before the rails clamp it: this device's
@@ -92,14 +95,37 @@ impl HallSensor {
 
     /// Draws the next output-noise sample, in volts.
     pub(crate) fn next_noise(&mut self) -> f64 {
-        self.noise.next_normal(0.0, self.noise_sd_v)
+        let (u1, u2) = self.next_noise_uniforms();
+        self.noise_from_uniforms(u1, u2)
+    }
+
+    /// Draws the two uniforms of the next output-noise sample, advancing
+    /// the noise stream exactly as [`HallSensor::next_noise`] does.
+    pub(crate) fn next_noise_uniforms(&mut self) -> (f64, f64) {
+        self.noise.next_normal_uniforms()
+    }
+
+    /// The output-noise sample (volts) [`HallSensor::next_noise`] makes
+    /// of the uniforms it draws: the libm Box-Muller transform.
+    pub(crate) fn noise_from_uniforms(&self, u1: f64, u2: f64) -> f64 {
+        normal_from_uniforms(u1, u2, 0.0, self.noise_sd_v)
+    }
+
+    /// The output noise's standard deviation, in volts.
+    pub(crate) fn noise_sd(&self) -> f64 {
+        self.noise_sd_v
     }
 
     /// The last step of [`HallSensor::output`]: noise added to
     /// `ideal + offset` (in that order, so `(ideal + offset) + noise`),
     /// clamped to the rails.
     pub(crate) fn noisy(offset_ideal: f64, noise: f64) -> Volts {
-        Volts::new((offset_ideal + noise).clamp(0.0, 5.0))
+        Self::rails(offset_ideal + noise)
+    }
+
+    /// A voltage clamped to the output rails.
+    pub(crate) fn rails(v: f64) -> Volts {
+        Volts::new(v.clamp(0.0, RAIL_V))
     }
 }
 

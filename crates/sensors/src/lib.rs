@@ -25,8 +25,12 @@
 //! A fault-free rig measures through one streaming pass,
 //! [`MeasurementRig::measure_batch`]: every run on a rig replays the
 //! same sensor-noise stream, so a batch of runs shares each noise draw,
-//! and nothing is stored per sample. [`MeasurementRig::measure_reference`]
-//! keeps the per-sample path as its oracle.
+//! and nothing is stored per sample. The pass computes noise from small
+//! tables within a proven bound of libm's value and falls back to libm
+//! for a sample that lands within that bound of an ADC code edge, so
+//! every code it logs is the per-sample path's.
+//! [`MeasurementRig::measure_reference`] keeps the per-sample path as
+//! its oracle.
 //!
 //! The rig keeps a lab notebook too: arm an `lhr-obs` observer
 //! ([`MeasurementRig::with_observer`]) and it reports per-run sample
@@ -63,6 +67,7 @@ mod error;
 pub mod faults;
 mod hall;
 mod logger;
+mod noise;
 mod quality;
 mod rig;
 

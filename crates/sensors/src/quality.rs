@@ -214,14 +214,17 @@ impl Flatline {
         len: 0,
     };
 
-    /// Appends `code` to the log.
+    /// Appends `code` to the log. Noisy codes change at most samples, so
+    /// the run length updates without a branch on the code; only a
+    /// flatline-length run ending, which is rare, branches.
     #[inline]
     pub(crate) fn push(&mut self, code: u16) {
-        if code != self.code {
-            self.end_run();
-            self.code = code;
+        let same = code == self.code;
+        if !same && self.len >= FLATLINE_RUN {
+            self.credit_run();
         }
-        self.len += 1;
+        self.len = if same { self.len + 1 } else { 1 };
+        self.code = code;
         if code < self.lo {
             self.lo = code;
             self.at_lo = 0;
@@ -232,16 +235,16 @@ impl Flatline {
         }
     }
 
-    fn end_run(&mut self) {
-        if self.len >= FLATLINE_RUN {
-            if self.code == self.lo {
-                self.at_lo += self.len;
-            }
-            if self.code == self.hi {
-                self.at_hi += self.len;
-            }
+    /// Credits the current run, which has flatline length, to the
+    /// extreme its code sits at.
+    #[inline]
+    fn credit_run(&mut self) {
+        if self.code == self.lo {
+            self.at_lo += self.len;
         }
-        self.len = 0;
+        if self.code == self.hi {
+            self.at_hi += self.len;
+        }
     }
 
     /// The flatlined fraction of the complete log of `samples` codes.
@@ -249,7 +252,9 @@ impl Flatline {
         if samples < FLATLINE_RUN {
             return 0.0;
         }
-        self.end_run();
+        if self.len >= FLATLINE_RUN {
+            self.credit_run();
+        }
         let pinned = if self.lo == self.hi {
             self.at_lo
         } else {

@@ -13,6 +13,7 @@ use crate::error::SensorError;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::hall::HallSensor;
 use crate::logger::DataLogger;
+use crate::noise::{CodeWindows, NoiseTables};
 use crate::quality::{Flatline, QualityPolicy, QualityReport};
 
 /// The mid-band reference current (amperes) the drift self-check drives
@@ -20,9 +21,9 @@ use crate::quality::{Flatline, QualityPolicy, QualityReport};
 /// range.
 const SELF_CHECK_AMPS: f64 = 1.65;
 
-/// Noise samples a batched rig pass draws at a time (2 KB on the stack):
-/// each waveform then streams through the whole block with its state in
-/// registers.
+/// Noise samples a batched rig pass draws at a time (8 KB of uniforms
+/// and volts on the stack): each waveform then streams through the whole
+/// block with its state in registers.
 const NOISE_BLOCK: usize = 256;
 
 /// The factory calibration bench's memo. [`MeasurementRig::for_max_power`]
@@ -58,6 +59,8 @@ pub struct MeasurementRig {
     /// for an uninvertible (zero-slope) fit. Rebuilt with every
     /// calibration, never separately.
     watts_per_code: Option<Arc<[f64]>>,
+    /// The ADC's code windows for table noise (see `noise`).
+    codes: CodeWindows,
     injector: Option<FaultInjector>,
     policy: QualityPolicy,
     obs: Obs,
@@ -99,6 +102,7 @@ impl MeasurementRig {
         let logger = DataLogger::paper_rig();
         let rig = Self {
             watts_per_code: watts_per_code(&calibration, &adc, logger.supply()),
+            codes: CodeWindows::of(&adc),
             sensor,
             adc,
             logger,
@@ -206,16 +210,27 @@ impl MeasurementRig {
     /// pass draws each noise sample once and applies it to every waveform
     /// still logging at that sample. It draws a block of samples at a
     /// time and streams each waveform through the block in turn.
-    /// Per-waveform state lives in parallel arrays, one slot per waveform:
-    /// the slice's `ideal + offset` (recomputed only when the slice's
-    /// power changes), the running watts sum (table lookups added in
-    /// sample order from the neutral element `Iterator::sum` starts from),
-    /// and the flatline accounting. Nothing is kept per sample.
+    ///
+    /// A noise sample matters only through the ADC code it lands in, so
+    /// the pass draws the Box-Muller uniforms as the sensor does but
+    /// turns them into volts from small tables, within a proven bound of
+    /// libm's value. Where that bound leaves a sample's code in doubt
+    /// (it lands that close to a code edge), the pass computes the libm
+    /// noise for that sample, once for the whole batch, and quantizes it
+    /// as the per-sample path does.
+    ///
+    /// Per-waveform state lives in parallel arrays, one slot per
+    /// waveform: the current slice run (the samples that read one slice,
+    /// found at run boundaries, and the slice's `ideal + offset`), the
+    /// running watts sum (table lookups added in sample order from the
+    /// neutral element `Iterator::sum` starts from), and the flatline
+    /// accounting. Nothing is kept per sample.
     ///
     /// Like `measure_reference`, this ignores any armed fault plan:
     /// [`MeasurementRig::try_measure`] is the fault-aware call. It takes
     /// `&self`, so callers may share a fault-free rig across threads.
-    /// Readings go through [`MeasurementRig::audit`] before use.
+    /// Readings go through [`MeasurementRig::audit`] before use. An armed
+    /// observer gets the `rig.exact_noise_draws` count of the pass.
     ///
     /// # Panics
     ///
@@ -249,47 +264,63 @@ impl MeasurementRig {
             .watts_per_code
             .as_deref()
             .expect("calibrated fits are invertible");
-        let supply = self.logger.supply();
         let samples: Vec<usize> = waveforms
             .iter()
             .map(|w| self.logger.sample_count(w))
             .collect();
-        let first = self.logger.sample_time(0);
-        let mut power_bits = Vec::with_capacity(waveforms.len());
-        let mut offset_ideal = Vec::with_capacity(waveforms.len());
-        for w in waveforms {
-            let p = w.power_at(first);
-            power_bits.push(p.value().to_bits());
-            offset_ideal.push(self.sensor.offset_ideal(p / supply));
-        }
+        let mut runs: Vec<SliceRun> = waveforms.iter().map(|w| self.first_run(w)).collect();
         let mut sums = vec![sum_start(); waveforms.len()];
         let mut flatlines = vec![Flatline::EMPTY; waveforms.len()];
         let mut sensor = self.sensor.clone();
-        let mut noise = [0.0f64; NOISE_BLOCK];
+        let tables = NoiseTables::get();
+        let sd = sensor.noise_sd();
+        let mut uniforms = [(0.0f64, 0.0f64); NOISE_BLOCK];
+        let mut approx = [0.0f64; NOISE_BLOCK];
+        // The libm noise of a block sample, NaN until some waveform needs
+        // it (libm noise is never NaN).
+        let mut exact = [f64::NAN; NOISE_BLOCK];
+        let mut exact_draws = 0u64;
         let longest = samples.iter().copied().max().unwrap_or(0);
         for start in (0..longest).step_by(NOISE_BLOCK) {
-            let block = &mut noise[..NOISE_BLOCK.min(longest - start)];
-            block.iter_mut().for_each(|n| *n = sensor.next_noise());
+            let len = NOISE_BLOCK.min(longest - start);
+            for i in 0..len {
+                let (u1, u2) = sensor.next_noise_uniforms();
+                uniforms[i] = (u1, u2);
+                approx[i] = tables.normal(u1, u2, sd);
+                exact[i] = f64::NAN;
+            }
             for (j, w) in waveforms.iter().enumerate() {
-                let mut bits = power_bits[j];
-                let mut base = offset_ideal[j];
+                let end = samples[j].min(start + len);
+                let mut run = runs[j];
                 let mut sum = sums[j];
                 let mut flatline = flatlines[j];
-                for (k, &noise) in (start..samples[j]).zip(block.iter()) {
-                    let p = w.power_at(self.logger.sample_time(k));
-                    if p.value().to_bits() != bits {
-                        bits = p.value().to_bits();
-                        base = self.sensor.offset_ideal(p / supply);
+                let mut k = start;
+                while k < end {
+                    if k == run.end {
+                        self.next_run(w, samples[j], &mut run);
                     }
-                    let code = self.adc.quantize(HallSensor::noisy(base, noise));
-                    sum += watts[usize::from(code)];
-                    flatline.push(code);
+                    let stop = run.end.min(end);
+                    for i in k - start..stop - start {
+                        let code = self.codes.code(run.base, approx[i], || {
+                            if exact[i].is_nan() {
+                                let (u1, u2) = uniforms[i];
+                                exact[i] = sensor.noise_from_uniforms(u1, u2);
+                                exact_draws += 1;
+                            }
+                            exact[i]
+                        });
+                        sum += watts[usize::from(code)];
+                        flatline.push(code);
+                    }
+                    k = stop;
                 }
-                power_bits[j] = bits;
-                offset_ideal[j] = base;
+                runs[j] = run;
                 sums[j] = sum;
                 flatlines[j] = flatline;
             }
+        }
+        if self.obs.enabled() {
+            self.obs.counter("rig.exact_noise_draws", exact_draws);
         }
         let drift = self.drift_residual_codes(false);
         waveforms
@@ -304,6 +335,61 @@ impl MeasurementRig {
                 }
             })
             .collect()
+    }
+
+    /// The slice run state of `waveform` before its first sample.
+    fn first_run(&self, waveform: &PowerWaveform) -> SliceRun {
+        SliceRun {
+            end: 0,
+            next: waveform.slice_index(self.logger.sample_time(0)),
+            power_bits: None,
+            base: f64::NAN,
+        }
+    }
+
+    /// Advances `run` to the slice run of `waveform` that starts at
+    /// sample `run.end` of `samples`: the samples from there on that read
+    /// the same slice, up to the first that reads a later one (or the end
+    /// of the log). The slice a sample reads never decreases with the
+    /// sample, so the boundary is estimated once and confirmed with the
+    /// exact sample-to-slice formula on both sides of it. The slice's
+    /// `ideal + offset` is recomputed only when its power changes.
+    #[inline]
+    fn next_run(&self, waveform: &PowerWaveform, samples: usize, run: &mut SliceRun) {
+        let slice_at = |k: usize| waveform.slice_index(self.logger.sample_time(k));
+        let (k, slice) = (run.end, run.next);
+        let power = if waveform.is_empty() {
+            Watts::ZERO
+        } else {
+            waveform.slice_power(slice)
+        };
+        if run.power_bits != Some(power.value().to_bits()) {
+            run.power_bits = Some(power.value().to_bits());
+            run.base = self.sensor.offset_ideal(power / self.logger.supply());
+        }
+        if slice + 1 >= waveform.len() || k + 1 >= samples {
+            run.end = samples;
+            return;
+        }
+        run.next = slice_at(k + 1);
+        if run.next != slice {
+            run.end = k + 1;
+            return;
+        }
+        // The first sample at or past the next slice's start time.
+        let start_s = (slice + 1) as f64 * waveform.slice().value();
+        let mut end = ((start_s * self.logger.sample_hz()) as usize).clamp(k + 2, samples);
+        while end > k + 2 && slice_at(end - 1) != slice {
+            end -= 1;
+        }
+        while end < samples {
+            run.next = slice_at(end);
+            if run.next != slice {
+                break;
+            }
+            end += 1;
+        }
+        run.end = end;
     }
 
     /// Audits a reading from [`MeasurementRig::measure_batch`]: reports it
@@ -486,6 +572,19 @@ impl MeasurementRig {
         let code = f64::from(self.adc.quantize(v));
         (code - self.calibration.fit().predict(amps.value())).abs()
     }
+}
+
+/// A waveform's current slice run in a batched pass.
+#[derive(Debug, Clone, Copy)]
+struct SliceRun {
+    /// The first sample past the run.
+    end: usize,
+    /// The slice sample `end` reads (when `end` is within the log).
+    next: usize,
+    /// The bits of the run's slice power, once one is known.
+    power_bits: Option<u64>,
+    /// `ideal + offset` at that power.
+    base: f64,
 }
 
 /// The rail watts each code of `adc` reads as through `calibration`

@@ -7,7 +7,11 @@
 //! channels) and random batches of 1-20 waveforms of mixed lengths --
 //! empty, shorter than one 20 ms sample period, fewer samples than a
 //! flatline run, and long -- every reading's average power (bit for bit)
-//! and `QualityReport` equal the oracle's for that waveform alone.
+//! and `QualityReport` equal the oracle's for that waveform alone. Fixed
+//! cases cover the edges of the pass's shortcuts: slices on and one ULP
+//! off multiples and divisors of the sample period, slices under 0.1 ms,
+//! and samples that land on ADC code edges, where the table-driven noise
+//! must fall back to the libm draw.
 
 use proptest::prelude::*;
 
@@ -154,4 +158,128 @@ fn a_batch_with_one_saturating_waveform_matches_the_reference() {
         }
         other => panic!("expected a saturation rejection, got {other:?}"),
     }
+}
+
+/// A run of `slices` slices of `slice_s` seconds, its power stepping
+/// through a pattern that crosses many codes.
+fn stepped(slice_s: f64, slices: usize) -> PowerWaveform {
+    let mut w = PowerWaveform::new(Seconds::new(slice_s));
+    for i in 0..slices {
+        w.push(Watts::new(12.0 + 3.7 * (i % 11) as f64));
+    }
+    w
+}
+
+#[test]
+fn slices_on_and_one_ulp_off_the_sample_period_match_the_reference() {
+    // Multiples and divisors of the 20 ms period put slice starts on
+    // sample times, where the sample-to-slice rounding decides which
+    // slice a sample reads; one ULP off them tips that rounding.
+    let on: Vec<f64> = [
+        1.0,
+        2.0,
+        3.0,
+        7.0,
+        1.0 / 2.0,
+        1.0 / 3.0,
+        1.0 / 4.0,
+        1.0 / 5.0,
+    ]
+    .iter()
+    .map(|f| PERIOD_S * f)
+    .collect();
+    let slices: Vec<f64> = on
+        .iter()
+        .flat_map(|&s| [s, s.next_up(), s.next_down()])
+        .collect();
+    for thirty_amp in [false, true] {
+        let (rig, _) = rig(thirty_amp, 7);
+        let waveforms: Vec<PowerWaveform> = slices
+            .iter()
+            .map(|&s| stepped(s, (12.0 / s) as usize))
+            .collect();
+        assert_batch_matches_reference(&rig, &waveforms);
+    }
+}
+
+#[test]
+fn slices_under_a_tenth_of_a_millisecond_match_the_reference() {
+    let (rig, _) = rig(false, 3);
+    let waveforms: Vec<PowerWaveform> = [9.9e-5, 5e-5, 1e-5, 3.3e-6]
+        .iter()
+        .map(|&s| stepped(s, 20_000))
+        .collect();
+    assert_batch_matches_reference(&rig, &waveforms);
+}
+
+/// A run of one slice per sample whose powers put every sample's
+/// noisy voltage on a code edge: found by bisecting each slice's power
+/// (all at once, one reference pass per round) for the two neighbouring
+/// doubles between which its first sample's code changes. Even slices
+/// take the lower power, odd ones the upper.
+fn edge_riding(rig: &MeasurementRig, slices: usize) -> PowerWaveform {
+    let build = |powers: &[f64]| {
+        let mut w = PowerWaveform::new(Seconds::new(PERIOD_S));
+        for &p in powers {
+            w.push(Watts::new(p));
+        }
+        w
+    };
+    // The first sample that reads each slice, by the logger's formula.
+    let probe = build(&vec![0.0; slices]);
+    let mut first = vec![None; slices];
+    for k in 0..slices {
+        let s = probe.slice_index(Seconds::new(k as f64 * (1.0 / 50.0)));
+        first[s].get_or_insert(k);
+    }
+    let reading = |powers: &[f64]| rig.measure_reference(&build(powers)).1;
+    // Positive doubles order as their bits; the code moves with power.
+    let mut lo = vec![0.0f64.to_bits(); slices];
+    let mut hi: Vec<u64> = first
+        .iter()
+        .map(|k| if k.is_some() { 45.0f64 } else { 0.0 }.to_bits())
+        .collect();
+    let at_lo = reading(&vec![0.0; slices]);
+    while lo.iter().zip(&hi).any(|(l, h)| h - l > 1) {
+        let mid: Vec<u64> = lo.iter().zip(&hi).map(|(l, h)| l + (h - l) / 2).collect();
+        let powers: Vec<f64> = mid.iter().map(|&b| f64::from_bits(b)).collect();
+        let at_mid = reading(&powers);
+        for s in 0..slices {
+            let Some(k) = first[s] else { continue };
+            if at_mid[k] == at_lo[k] {
+                lo[s] = mid[s];
+            } else {
+                hi[s] = mid[s];
+            }
+        }
+    }
+    let powers: Vec<f64> = (0..slices)
+        .map(|s| f64::from_bits(if s % 2 == 0 { lo[s] } else { hi[s] }))
+        .collect();
+    build(&powers)
+}
+
+#[test]
+fn samples_on_code_edges_take_the_exact_draw_and_match_the_reference() {
+    use lhr_obs::{MemoryRecorder, Obs};
+    use std::sync::Arc;
+
+    let (rig, _) = rig(false, 11);
+    let edge = edge_riding(&rig, 600);
+    let exact_draws = |waveforms: &[&PowerWaveform]| {
+        let memory = Arc::new(MemoryRecorder::default());
+        let observed = rig.clone().with_observer(Obs::recording(memory.clone()));
+        let batch = observed.measure_batch(waveforms);
+        for (w, got) in waveforms.iter().zip(&batch) {
+            assert_eq!(got, &rig.measure_reference(w).0);
+        }
+        memory.snapshot().counter("rig.exact_noise_draws")
+    };
+    let alone = exact_draws(&[&edge]);
+    assert!(alone >= 300, "most edge samples fall back: {alone}");
+    // Inside a wider batch the libm draw is made once per sample and
+    // shared by every waveform that needs it.
+    let (steady_a, steady_b) = (steady(26.0, 900), steady(31.0, 150));
+    assert_eq!(exact_draws(&[&steady_a, &edge, &steady_b, &edge]), alone);
+    assert_batch_matches_reference(&rig, &[steady_a, edge.clone(), steady_b, edge]);
 }

@@ -53,4 +53,4 @@ mod rng;
 pub use locality::{AddressStream, LocalityProfile};
 pub use mix::{InstructionClass, InstructionMix, MixBuilder, MixError};
 pub use phase::{Phase, PhaseError, ThreadTrace};
-pub use rng::{Rng64, SplitMix64, Xoshiro256StarStar};
+pub use rng::{normal_from_uniforms, Rng64, SplitMix64, Xoshiro256StarStar};

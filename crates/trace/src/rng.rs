@@ -44,14 +44,32 @@ pub trait Rng64 {
 
     /// A normal deviate with the given mean and standard deviation
     /// (Box-Muller, one draw per call; the spare is discarded for
-    /// simplicity and statelessness).
+    /// simplicity and statelessness): [`normal_from_uniforms`] over
+    /// [`Rng64::next_normal_uniforms`].
     fn next_normal(&mut self, mean: f64, stddev: f64) -> f64 {
+        let (u1, u2) = self.next_normal_uniforms();
+        normal_from_uniforms(u1, u2, mean, stddev)
+    }
+
+    /// The two uniforms one [`Rng64::next_normal`] draw consumes, in the
+    /// order it draws them: `u1` in `[f64::MIN_POSITIVE, 1)` (floored so
+    /// `ln` stays finite; otherwise a multiple of 2^-53) and `u2` in
+    /// `[0, 1)`.
+    fn next_normal_uniforms(&mut self) -> (f64, f64) {
         // Guard against ln(0).
         let u1 = self.next_f64().max(f64::MIN_POSITIVE);
         let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        mean + stddev * r * (std::f64::consts::TAU * u2).cos()
+        (u1, u2)
     }
+}
+
+/// The Box-Muller transform [`Rng64::next_normal`] applies to its
+/// uniforms: `mean + stddev * sqrt(-2 ln u1) * cos(2 pi u2)`, evaluated
+/// in that order with libm's `ln`, `sqrt` and `cos`.
+#[must_use]
+pub fn normal_from_uniforms(u1: f64, u2: f64, mean: f64, stddev: f64) -> f64 {
+    let r = (-2.0 * u1.ln()).sqrt();
+    mean + stddev * r * (std::f64::consts::TAU * u2).cos()
 }
 
 /// The SplitMix64 generator.
@@ -223,6 +241,18 @@ mod tests {
         // Out-of-range p is clamped rather than panicking.
         assert!((0..10).all(|_| r.next_bool(2.0)));
         assert!(!(0..10).any(|_| r.next_bool(-1.0)));
+    }
+
+    #[test]
+    fn next_normal_is_the_transform_of_its_uniforms() {
+        let mut a = Xoshiro256StarStar::new(23);
+        let mut b = a.clone();
+        for _ in 0..1000 {
+            let (u1, u2) = b.next_normal_uniforms();
+            let want = normal_from_uniforms(u1, u2, 0.5, 0.004);
+            assert_eq!(a.next_normal(0.5, 0.004).to_bits(), want.to_bits());
+        }
+        assert_eq!(a, b, "both paths consume the same draws");
     }
 
     #[test]

@@ -113,25 +113,20 @@ impl ThreadState {
 /// [`PerfKey`] minus the thread (the cache itself is per thread).
 type PerfMemoKey = (usize, u64, u64, u64, u64, u32);
 
-/// Exact-input key for the process-global interval-model memo: the raw
-/// bits of every value [`phase_performance`] reads from the spec, the
-/// phase, and the environment. Keying on the full input set (rather than
-/// a processor id) keeps the memo sound for hand-built specs and
-/// synthetic phases: two keys are equal exactly when the interval model
-/// is handed bit-identical inputs. `stream_stride` is part of it: the
-/// analytic TLB model ignores it, but the miss-rate estimator's address
-/// stream reads it.
-type GlobalPerfKey = [u64; 33];
+/// The raw bits of every value [`phase_performance`] reads from the
+/// spec (15 words), the phase (14) and the environment (4). Keying on
+/// the full input set (rather than a processor id) keeps the memo sound
+/// for hand-built specs and synthetic phases: two inputs share an entry
+/// exactly when the interval model is handed bit-identical values.
+/// `stream_stride` is among them: the analytic TLB model ignores it, but
+/// the miss-rate estimator's address stream reads it.
+type SpecWords = [u64; 15];
+type PhaseWords = [u64; 14];
+type EnvWords = [u64; 4];
 
-fn global_perf_key(
-    spec: &crate::catalog::ProcessorSpec,
-    phase: &lhr_trace::Phase,
-    env: &Environment,
-) -> GlobalPerfKey {
+fn spec_words(spec: &crate::catalog::ProcessorSpec) -> SpecWords {
     let core = &spec.core;
     let mem = &spec.mem;
-    let mix = phase.mix();
-    let loc = phase.locality();
     let (l2_present, l2_bytes) = match mem.l2 {
         Some(l2) => (1u64, l2.size_bytes),
         None => (0u64, 0u64),
@@ -152,6 +147,13 @@ fn global_perf_key(
         mem.tlb_miss_cycles.to_bits(),
         mem.mem_latency_ns.to_bits(),
         mem.dtlb_entries as u64,
+    ]
+}
+
+fn phase_words(phase: &lhr_trace::Phase) -> PhaseWords {
+    let mix = phase.mix();
+    let loc = phase.locality();
+    [
         phase.ilp().to_bits(),
         phase.mlp().to_bits(),
         phase.branch_mispredict_rate().to_bits(),
@@ -166,6 +168,11 @@ fn global_perf_key(
         loc.warm_fraction().to_bits(),
         loc.pointer_chase().to_bits(),
         loc.stream_stride(),
+    ]
+}
+
+fn env_words(env: &Environment) -> EnvWords {
+    [
         env.clock.value().to_bits(),
         env.private_cache_share.to_bits(),
         env.llc_bytes_eff,
@@ -173,10 +180,73 @@ fn global_perf_key(
     ]
 }
 
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// The process-global interval-model memo. Specs, phases and
+/// environments recur far more often than they combine, so each
+/// distinct one is interned once, through an exact word-array map, and
+/// an entry is keyed on the three indices: equality stays exact on every
+/// input. Values sit in one vector in insertion order, so the memory an
+/// entry holds grows with the entries made, not in the table's doubling
+/// steps.
+#[derive(Default)]
+struct PhaseMemo {
+    specs: KeyMap<SpecWords, u32>,
+    phases: KeyMap<PhaseWords, u32>,
+    envs: KeyMap<EnvWords, u32>,
+    /// Index into `values` per entry.
+    entries: KeyMap<PhaseMemoKey, u32>,
+    values: Vec<PhasePerf>,
+}
+
+/// A [`PhaseMemo`] entry's key: the interned spec, phase and
+/// environment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PhaseMemoKey {
+    spec: u32,
+    phase: u32,
+    env: u32,
+}
+
+/// Interns `words`: the dense index of its first appearance in `map`.
+fn intern<const N: usize>(map: &mut KeyMap<[u64; N], u32>, words: [u64; N]) -> u32 {
+    let next = u32::try_from(map.len()).expect("fewer than 2^32 distinct inputs");
+    *map.entry(words).or_insert(next)
+}
+
+/// Looks `(spec, phase, env)` up in `memo`, filling a miss from
+/// `compute` outside the lock.
+fn memoized(
+    memo: &Mutex<PhaseMemo>,
+    (spec, phase, env): (SpecWords, PhaseWords, EnvWords),
+    compute: impl FnOnce() -> PhasePerf,
+) -> PhasePerf {
+    let key = {
+        let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = PhaseMemoKey {
+            spec: intern(&mut memo.specs, spec),
+            phase: intern(&mut memo.phases, phase),
+            env: intern(&mut memo.envs, env),
+        };
+        if let Some(&i) = memo.entries.get(&key) {
+            return memo.values[i as usize];
+        }
+        key
+    };
+    let p = compute();
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if !memo.entries.contains_key(&key) {
+        let i = u32::try_from(memo.values.len()).expect("fewer than 2^32 entries");
+        memo.values.push(p);
+        memo.entries.insert(key, i);
+    }
+    p
+}
+
 /// Process-global memo over [`phase_performance`].
 ///
-/// The interval model is a pure function of the inputs captured by
-/// [`GlobalPerfKey`]: the miss-rate estimator it consults is the single
+/// The interval model is a pure function of the inputs [`PhaseMemo`]
+/// keys on: the miss-rate estimator it consults is the single
 /// process-global instance and its entries never change once written, so
 /// a warm hit returns exactly -- bit for bit -- the value a fresh
 /// evaluation would produce at this point in the process. Only
@@ -192,22 +262,12 @@ fn cached_phase_performance(
     if env.bw_dilation.to_bits() != 1.0f64.to_bits() {
         return phase_performance(spec, phase, env, estimator);
     }
-    static MEMO: OnceLock<Mutex<HashMap<GlobalPerfKey, PhasePerf, BuildHasherDefault<KeyHasher>>>> =
-        OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::default()));
-    let key = global_perf_key(spec, phase, env);
-    if let Some(&p) = memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
-        return p;
-    }
-    let p = phase_performance(spec, phase, env, estimator);
-    memo.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(key, p);
-    p
+    static MEMO: OnceLock<Mutex<PhaseMemo>> = OnceLock::new();
+    memoized(
+        MEMO.get_or_init(Mutex::default),
+        (spec_words(spec), phase_words(phase), env_words(env)),
+        || phase_performance(spec, phase, env, estimator),
+    )
 }
 
 /// Energy-meter lane indices used by the flattened loop: lanes
@@ -1209,6 +1269,7 @@ impl ChipSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheGeometry;
     use crate::catalog::ProcessorId;
     use lhr_workloads::by_name;
 
@@ -1244,6 +1305,187 @@ mod tests {
             let cached = cached_phase_performance(spec, &phase, &env, MissRateEstimator::global());
             assert_eq!(cached, fresh, "stride {stride}");
         }
+    }
+
+    #[test]
+    fn a_phase_memo_entry_stays_small() {
+        // A 16-byte table slot (three interned indices and the value's
+        // index) plus the 96-byte value; the 33-word key made an entry
+        // 360 bytes.
+        let slot = std::mem::size_of::<(PhaseMemoKey, u32)>();
+        assert_eq!(slot, 16);
+        assert!(slot + std::mem::size_of::<PhasePerf>() <= 160);
+    }
+
+    /// The fifteen numbers a hand-built phase is made of; `load` and
+    /// `store` make up its memory fraction.
+    #[derive(Clone, Copy)]
+    struct PhaseParams {
+        ilp: f64,
+        mlp: f64,
+        mispredict: f64,
+        int_alu: f64,
+        fp: f64,
+        load: f64,
+        store: f64,
+        branch: f64,
+        hot: u64,
+        warm: u64,
+        total: u64,
+        hot_fraction: f64,
+        warm_fraction: f64,
+        chase: f64,
+        stride: u64,
+    }
+
+    impl PhaseParams {
+        fn phase(self) -> lhr_trace::Phase {
+            let mix = lhr_trace::InstructionMix::builder()
+                .int_alu(self.int_alu)
+                .fp(self.fp)
+                .load(self.load)
+                .store(self.store)
+                .branch(self.branch)
+                .build()
+                .expect("fractions sum to one within 1e-6");
+            let locality = lhr_trace::LocalityProfile::hierarchical(
+                self.hot,
+                self.warm,
+                self.total,
+                self.hot_fraction,
+                self.warm_fraction,
+            )
+            .with_pointer_chase(self.chase)
+            .with_stream_stride(self.stride);
+            lhr_trace::Phase::new("memo", 1.0, mix, self.ilp, locality)
+                .with_mlp(self.mlp)
+                .with_branch_mispredict_rate(self.mispredict)
+        }
+    }
+
+    #[test]
+    fn phase_memo_misses_on_any_one_changed_input_and_hits_on_identical_ones() {
+        use crate::catalog::ProcessorSpec;
+
+        // A hand-built spec whose L2 is present but empty, so presence
+        // can flip without the L2 size word moving.
+        let mut spec = ProcessorId::CoreI7_920.spec().clone();
+        let l2 = spec.mem.l2.expect("Nehalem has an L2");
+        spec.mem.l2 = Some(CacheGeometry {
+            size_bytes: 0,
+            ..l2
+        });
+        let params = PhaseParams {
+            ilp: 1.7,
+            mlp: 2.5,
+            mispredict: 0.04,
+            int_alu: 0.4,
+            fp: 0.1,
+            load: 0.25,
+            store: 0.1,
+            branch: 0.15,
+            hot: 16 << 10,
+            warm: 1 << 20,
+            total: 64 << 20,
+            hot_fraction: 0.6,
+            warm_fraction: 0.3,
+            chase: 0.2,
+            stride: 64,
+        };
+        let env = Environment {
+            private_cache_share: 0.75,
+            displacement: 1.25,
+            ..Environment::solo(&spec, spec.base_clock)
+        };
+        let value = phase_performance(&spec, &params.phase(), &env, MissRateEstimator::global());
+
+        type Edit<T> = (&'static str, fn(&mut T));
+        let spec_edits: [Edit<ProcessorSpec>; 15] = [
+            ("issue_width", |s| s.core.issue_width += 0.5),
+            ("pipeline_depth", |s| s.core.pipeline_depth += 1.0),
+            ("out_of_order", |s| {
+                s.core.out_of_order = !s.core.out_of_order
+            }),
+            ("ooo_overlap", |s| s.core.ooo_overlap *= 0.5),
+            ("mlp_cap", |s| s.core.mlp_cap += 1.0),
+            ("predictor_factor", |s| s.core.predictor_factor *= 0.5),
+            ("l1d", |s| s.mem.l1d.size_bytes *= 2),
+            ("l2 present", |s| s.mem.l2 = None),
+            ("l2 bytes", |s| {
+                s.mem.l2.as_mut().expect("present").size_bytes = 256 << 10
+            }),
+            ("llc present", |s| s.mem.llc = None),
+            ("l2_hit_cycles", |s| s.mem.l2_hit_cycles += 1.0),
+            ("llc_hit_cycles", |s| s.mem.llc_hit_cycles += 1.0),
+            ("tlb_miss_cycles", |s| s.mem.tlb_miss_cycles += 1.0),
+            ("mem_latency_ns", |s| s.mem.mem_latency_ns += 1.0),
+            ("dtlb_entries", |s| s.mem.dtlb_entries += 1),
+        ];
+        let phase_edits: [Edit<PhaseParams>; 14] = [
+            ("ilp", |p| p.ilp += 0.25),
+            ("mlp", |p| p.mlp += 0.25),
+            ("mispredict", |p| p.mispredict += 0.01),
+            ("memory fraction", |p| p.load += 1e-9),
+            ("branch fraction", |p| p.branch += 1e-9),
+            ("int_alu fraction", |p| p.int_alu += 1e-9),
+            ("fp fraction", |p| p.fp += 1e-9),
+            ("hot bytes", |p| p.hot *= 2),
+            ("warm bytes", |p| p.warm *= 2),
+            ("footprint", |p| p.total *= 2),
+            ("hot fraction", |p| p.hot_fraction -= 0.1),
+            ("warm fraction", |p| p.warm_fraction -= 0.1),
+            ("pointer chase", |p| p.chase += 0.1),
+            ("stream stride", |p| p.stride = 8),
+        ];
+        let env_edits: [Edit<Environment>; 4] = [
+            ("clock", |e| e.clock = e.clock * 0.5),
+            ("private_cache_share", |e| e.private_cache_share = 1.0),
+            ("llc_bytes_eff", |e| e.llc_bytes_eff /= 2),
+            ("displacement", |e| e.displacement = 1.0),
+        ];
+
+        let memo = Mutex::new(PhaseMemo::default());
+        let misses = std::cell::Cell::new(0usize);
+        let lookup = |spec: &ProcessorSpec, phase: &lhr_trace::Phase, env: &Environment| {
+            let before = misses.get();
+            let got = memoized(
+                &memo,
+                (spec_words(spec), phase_words(phase), env_words(env)),
+                || {
+                    misses.set(misses.get() + 1);
+                    value
+                },
+            );
+            assert_eq!(got, value);
+            misses.get() > before
+        };
+        let phase = params.phase();
+        assert!(lookup(&spec, &phase, &env), "a cold memo misses");
+        assert!(!lookup(&spec, &phase, &env), "identical inputs hit");
+        assert!(
+            !lookup(&spec.clone(), &params.phase(), &env),
+            "equal copies hit"
+        );
+        for (name, edit) in spec_edits {
+            let mut changed = spec.clone();
+            edit(&mut changed);
+            assert!(lookup(&changed, &phase, &env), "spec {name}");
+        }
+        for (name, edit) in phase_edits {
+            let mut changed = params;
+            edit(&mut changed);
+            assert!(lookup(&spec, &changed.phase(), &env), "phase {name}");
+        }
+        for (name, edit) in env_edits {
+            let mut changed = env;
+            edit(&mut changed);
+            assert!(lookup(&spec, &phase, &changed), "environment {name}");
+        }
+        assert_eq!(misses.get(), 1 + 15 + 14 + 4);
+        assert!(
+            !lookup(&spec, &phase, &env),
+            "the first entry is still there"
+        );
     }
 
     #[test]
