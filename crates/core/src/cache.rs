@@ -16,8 +16,10 @@
 //! points (2.66 vs 2.71 GHz) share a label while simulating differently
 //! (the figure7/figure8 collision fixed in an earlier PR).
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -161,22 +163,53 @@ pub trait CellCache: Send + Sync + fmt::Debug {
 /// Correct for finite study grids (every cell is read again by a later
 /// figure, and the grid is 45 x 61 at most); wrong for a server, which
 /// is why [`CellCache`] exists.
+///
+/// Each entry is boxed behind a pointer-size table slot, so the memory
+/// the cache holds grows by one entry per cell: when the table doubles,
+/// it copies 8-byte slots, not the entries (208 bytes inline).
 #[derive(Debug, Default)]
 pub struct UnboundedCache {
-    map: Mutex<HashMap<CellKey, CachedCell>>,
+    entries: Mutex<HashSet<Box<Entry>>>,
+}
+
+/// An [`UnboundedCache`] entry, hashed and compared by its key alone.
+#[derive(Debug)]
+struct Entry {
+    key: CellKey,
+    cell: CachedCell,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+impl Hash for Entry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key.hash(state);
+    }
+}
+
+impl Borrow<CellKey> for Box<Entry> {
+    fn borrow(&self) -> &CellKey {
+        &self.key
+    }
 }
 
 impl CellCache for UnboundedCache {
     fn get(&self, key: &CellKey) -> Option<CachedCell> {
-        self.map.lock().get(key).cloned()
+        self.entries.lock().get(key).map(|e| e.cell.clone())
     }
 
     fn insert(&self, key: CellKey, cell: CachedCell) {
-        self.map.lock().insert(key, cell);
+        self.entries.lock().replace(Box::new(Entry { key, cell }));
     }
 
     fn len(&self) -> usize {
-        self.map.lock().len()
+        self.entries.lock().len()
     }
 }
 
@@ -356,6 +389,11 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.capacity(), None);
+        // A second insert under the key replaces the entry.
+        let (_, other) = cell_for("mcf");
+        cache.insert(key.clone(), other.clone());
+        assert_eq!(cache.get(&key), Some(other));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

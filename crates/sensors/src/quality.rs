@@ -185,6 +185,9 @@ fn flatlined_fraction(codes: &[u16]) -> f64 {
     flat as f64 / codes.len() as f64
 }
 
+/// Codes [`Flatline::extend`] checks at a time.
+const FLATLINE_CHUNK: usize = 64;
+
 /// [`flatlined_fraction`] computed one code at a time, without keeping
 /// the codes. A run of identical codes counts only if its code is one of
 /// the log's final extremes, and the running minimum and maximum only
@@ -192,7 +195,7 @@ fn flatlined_fraction(codes: &[u16]) -> f64 {
 /// an extreme when the run ends. So it is enough to total the ended runs
 /// of at least [`FLATLINE_RUN`] codes at the current minimum and at the
 /// current maximum, restarting a total when its extreme moves.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Flatline {
     lo: u16,
     hi: u16,
@@ -235,6 +238,44 @@ impl Flatline {
         }
     }
 
+    /// Appends `codes` to the log, [`FLATLINE_CHUNK`] at a time, and
+    /// returns how many chunks went through [`Flatline::push`] code by
+    /// code.
+    ///
+    /// A chunk whose codes, and the code of the run it continues, all lie
+    /// strictly between the running minimum and maximum can credit
+    /// nothing, now or later: the extremes only move outward, so a code
+    /// strictly inside them never becomes one. Such a chunk only moves
+    /// the current run, so it is skipped to its trailing run. Every other
+    /// chunk (the log's first, one that touches or moves an extreme, or
+    /// any chunk once the minimum equals the maximum) is pushed code by
+    /// code. The state after is the one pushing every code gives.
+    pub(crate) fn extend(&mut self, codes: &[u16]) -> u64 {
+        let mut per_code = 0;
+        for chunk in codes.chunks(FLATLINE_CHUNK) {
+            let (min, max) = chunk
+                .iter()
+                .fold((u16::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+            let inside = |c: u16| self.lo < c && c < self.hi;
+            if !(inside(min) && inside(max) && inside(self.code)) {
+                per_code += 1;
+                for &code in chunk {
+                    self.push(code);
+                }
+                continue;
+            }
+            let last = chunk[chunk.len() - 1];
+            let tail = chunk.iter().rev().take_while(|&&c| c == last).count();
+            if tail == chunk.len() && last == self.code {
+                self.len += tail;
+            } else {
+                self.code = last;
+                self.len = tail;
+            }
+        }
+        per_code
+    }
+
     /// Credits the current run, which has flatline length, to the
     /// extreme its code sits at.
     #[inline]
@@ -267,6 +308,7 @@ impl Flatline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn log_of(codes: &[u16]) -> Vec<Option<u16>> {
         codes.iter().map(|&c| Some(c)).collect()
@@ -387,6 +429,134 @@ mod tests {
                 flatlined_fraction(log).to_bits(),
                 "log {i}"
             );
+        }
+    }
+
+    /// `log` pushed one code at a time, and extended in slices of the
+    /// lengths in `cuts` (cycled): both end states, with the chunks
+    /// extend took and how many of those went code by code.
+    fn pushed_and_extended(log: &[u16], cuts: &[usize]) -> (Flatline, Flatline, u64, u64) {
+        let mut pushed = Flatline::EMPTY;
+        for &code in log {
+            pushed.push(code);
+        }
+        let mut extended = Flatline::EMPTY;
+        let (mut at, mut chunks, mut per_code) = (0, 0, 0);
+        for &cut in cuts.iter().cycle() {
+            if at == log.len() {
+                break;
+            }
+            let next = (at + cut).min(log.len());
+            per_code += extended.extend(&log[at..next]);
+            chunks += (next - at).div_ceil(FLATLINE_CHUNK) as u64;
+            at = next;
+        }
+        (pushed, extended, chunks, per_code)
+    }
+
+    /// Asserts that `log` extended in slices of `cuts` ends in the state
+    /// pushing each code gives, and reads the collected fraction; returns
+    /// whether some chunk skipped the per-code path.
+    fn assert_extend_matches(log: &[u16], cuts: &[usize]) -> bool {
+        let (pushed, extended, chunks, per_code) = pushed_and_extended(log, cuts);
+        assert_eq!(extended, pushed, "cuts {cuts:?} of {log:?}");
+        assert_eq!(
+            extended.fraction(log.len()).to_bits(),
+            flatlined_fraction(log).to_bits(),
+            "cuts {cuts:?} of {log:?}"
+        );
+        per_code < chunks
+    }
+
+    #[test]
+    fn extend_matches_push_on_adversarial_streams() {
+        let run = |code: u16, n: usize| vec![code; n];
+        // Noise strictly inside 460 and 480, and a prefix that sets them.
+        let noise = |n: usize| -> Vec<u16> { (0..n).map(|i| 465 + (i * 7 % 11) as u16).collect() };
+        let framed = |tail: Vec<u16>| [vec![460, 480], noise(52), tail].concat();
+        let mut logs: Vec<Vec<u16>> = vec![
+            vec![],
+            run(470, 1),
+            run(470, 7),
+            run(470, 8),
+            run(470, 63),
+            run(470, 200),
+            // The extremes meet again after moving apart: lo == hi never
+            // returns, but a log of one code keeps it throughout.
+            [run(470, 70), run(471, 3), run(470, 9)].concat(),
+            // Extremes that move mid-chunk, then noise inside them.
+            [noise(30), run(400, 9), noise(100), run(500, 8), noise(90)].concat(),
+            [noise(64), run(459, 8), noise(64), run(481, 7), noise(64)].concat(),
+        ];
+        // Runs of 7, 8 and 9 at each extreme and inside, ending before,
+        // on and past a chunk edge, from every offset around it.
+        for len in [7, 8, 9] {
+            for code in [460, 470, 480] {
+                for lead in 0..12 {
+                    logs.push(framed([noise(lead), run(code, len), noise(70)].concat()));
+                }
+            }
+        }
+        // Flatline runs that straddle a chunk edge at an extreme the next
+        // chunk moves.
+        logs.push(framed([run(460, 12), run(455, 1), noise(80)].concat()));
+        logs.push(framed([run(480, 12), run(490, 9)].concat()));
+        let cut_sets: [&[usize]; 6] = [&[1], &[64], &[63, 65], &[256], &[100, 3, 17], &[5000]];
+        let mut skipped = false;
+        for log in &logs {
+            for cuts in cut_sets {
+                skipped |= assert_extend_matches(log, cuts);
+            }
+        }
+        assert!(skipped, "some chunk must take the fast path");
+    }
+
+    #[test]
+    fn a_steady_log_goes_code_by_code_only_where_it_sets_an_extreme() {
+        let noise = (0..638).map(|i| 465 + (i * 7 % 11) as u16);
+        let log: Vec<u16> = [460, 480].into_iter().chain(noise).collect();
+        let (pushed, extended, chunks, per_code) = pushed_and_extended(&log, &[256]);
+        assert_eq!(extended, pushed);
+        assert_eq!(
+            (chunks, per_code),
+            (10, 1),
+            "only the first chunk sets the extremes"
+        );
+        // With lo == hi no code lies inside them.
+        assert_eq!(pushed_and_extended(&[470; 640], &[256]).3, 10);
+    }
+
+    /// A log of up to ten segments: runs near the flatline length or a
+    /// chunk's, at codes 0-7 that may be or become extremes, and noise
+    /// strictly inside codes 1 and 6.
+    fn segmented_log(seed: u64) -> Vec<u16> {
+        use lhr_trace::{Rng64, SplitMix64};
+        const RUNS: [usize; 11] = [1, 2, 6, 7, 8, 9, 10, 63, 64, 65, 130];
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |n: usize| rng.next_below(n as u64) as usize;
+        let mut log = Vec::new();
+        for _ in 0..below(11) {
+            if below(2) == 0 {
+                let code = below(8) as u16;
+                log.extend(std::iter::repeat_n(code, RUNS[below(RUNS.len())]));
+            } else {
+                for _ in 0..below(200) {
+                    log.push(2 + below(4) as u16);
+                }
+            }
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn extend_over_any_chunking_matches_push_and_the_collected_fraction(
+            seed in any::<u64>(),
+            cuts in proptest::collection::vec(1usize..300, 1..6),
+        ) {
+            assert_extend_matches(&segmented_log(seed), &cuts);
         }
     }
 

@@ -224,13 +224,16 @@ impl MeasurementRig {
     /// found at run boundaries, and the slice's `ideal + offset`), the
     /// running watts sum (table lookups added in sample order from the
     /// neutral element `Iterator::sum` starts from), and the flatline
-    /// accounting. Nothing is kept per sample.
+    /// accounting, which takes each waveform's codes for a block at once.
+    /// Nothing is kept per sample.
     ///
     /// Like `measure_reference`, this ignores any armed fault plan:
     /// [`MeasurementRig::try_measure`] is the fault-aware call. It takes
     /// `&self`, so callers may share a fault-free rig across threads.
     /// Readings go through [`MeasurementRig::audit`] before use. An armed
-    /// observer gets the `rig.exact_noise_draws` count of the pass.
+    /// observer gets the pass's `rig.exact_noise_draws` and
+    /// `rig.flatline_code_chunks` (chunks the flatline accounting took
+    /// code by code) counts.
     ///
     /// # Panics
     ///
@@ -279,7 +282,10 @@ impl MeasurementRig {
         // The libm noise of a block sample, NaN until some waveform needs
         // it (libm noise is never NaN).
         let mut exact = [f64::NAN; NOISE_BLOCK];
+        // One waveform's codes for the block, for its flatline accounting.
+        let mut codes = [0u16; NOISE_BLOCK];
         let mut exact_draws = 0u64;
+        let mut per_code_chunks = 0u64;
         let longest = samples.iter().copied().max().unwrap_or(0);
         for start in (0..longest).step_by(NOISE_BLOCK) {
             let len = NOISE_BLOCK.min(longest - start);
@@ -291,9 +297,11 @@ impl MeasurementRig {
             }
             for (j, w) in waveforms.iter().enumerate() {
                 let end = samples[j].min(start + len);
+                if end <= start {
+                    continue;
+                }
                 let mut run = runs[j];
                 let mut sum = sums[j];
-                let mut flatline = flatlines[j];
                 let mut k = start;
                 while k < end {
                     if k == run.end {
@@ -310,17 +318,19 @@ impl MeasurementRig {
                             exact[i]
                         });
                         sum += watts[usize::from(code)];
-                        flatline.push(code);
+                        codes[i] = code;
                     }
                     k = stop;
                 }
                 runs[j] = run;
                 sums[j] = sum;
-                flatlines[j] = flatline;
+                per_code_chunks += flatlines[j].extend(&codes[..end - start]);
             }
         }
         if self.obs.enabled() {
             self.obs.counter("rig.exact_noise_draws", exact_draws);
+            self.obs
+                .counter("rig.flatline_code_chunks", per_code_chunks);
         }
         let drift = self.drift_residual_codes(false);
         waveforms
@@ -676,6 +686,29 @@ mod tests {
         assert_eq!(rig.measure_reference(&w), rig.measure_reference(&w));
         let (one, _) = rig.measure_reference(&w);
         assert_eq!(rig.measure_batch(&[&w, &w]), [one.clone(), one]);
+    }
+
+    #[test]
+    fn observer_counts_flatline_chunks_taken_code_by_code() {
+        use lhr_obs::{MemoryRecorder, Obs};
+
+        let rig = MeasurementRig::for_max_power(Watts::new(50.0), 42).unwrap();
+        let per_code_chunks = |w: &PowerWaveform| {
+            let memory = Arc::new(MemoryRecorder::default());
+            let observed = rig.clone().with_observer(Obs::recording(memory.clone()));
+            assert_eq!(observed.measure_batch(&[w]), [rig.measure_reference(w).0]);
+            memory.snapshot().counter("rig.flatline_code_chunks")
+        };
+        // 10,000 samples are 157 chunks (four per 256-sample noise block,
+        // one for the last 16 samples). A steady run's codes stay strictly
+        // inside its extremes in more and more chunks as the noise finds
+        // them.
+        let steady = per_code_chunks(&waveform(&vec![26.4; 10_000]));
+        assert!((1..157 / 2).contains(&steady), "{steady}");
+        // A ramp of about 10 codes a chunk moves an extreme in every one
+        // of its 16.
+        let ramp: Vec<f64> = (0..1000).map(|i| 0.05 * f64::from(i)).collect();
+        assert_eq!(per_code_chunks(&waveform(&ramp)), 16);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 
 use std::io::{self, BufRead, Write};
 
-/// Longest request head (request line + headers) accepted, in bytes.
-/// Anything longer is a `400`: the endpoints take short query strings,
-/// so an oversized head is garbage or abuse.
+/// Longest request head (request line + headers) accepted, in bytes,
+/// line terminators included. Anything longer is a `400`: the endpoints
+/// take short query strings, so an oversized head is garbage or abuse.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Longest request body accepted, in bytes. Query texts are a few
@@ -111,18 +111,15 @@ impl std::fmt::Display for HttpError {
 /// [`HttpError::TimedOut`] when the socket's read timeout expires on an
 /// idle connection (the slow-loris guard).
 pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
-    let request_line = read_line(stream)?;
-    let mut total = request_line.len();
+    // Head bytes still allowed, line terminators included.
+    let mut budget = MAX_HEAD_BYTES;
+    let request_line = read_line(stream, &mut budget)?;
     // Drain headers up to the blank line so the parse position is
     // deterministic whatever the client sent; keep them for content
     // negotiation.
     let mut headers = Vec::new();
     loop {
-        let line = read_line(stream)?;
-        total += line.len();
-        if total > MAX_HEAD_BYTES {
-            return Err(HttpError::BadRequest("request head too large".into()));
-        }
+        let line = read_line(stream, &mut budget)?;
         if line.is_empty() {
             break;
         }
@@ -187,8 +184,8 @@ fn read_body(stream: &mut impl BufRead, req: &Request) -> Result<String, HttpErr
 }
 
 /// Reads one `\r\n`-terminated line (tolerating bare `\n`), without the
-/// terminator.
-fn read_line(stream: &mut impl BufRead) -> Result<String, HttpError> {
+/// terminator, taking each byte it consumes from the head's `budget`.
+fn read_line(stream: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
     let mut buf = Vec::with_capacity(128);
     loop {
         let mut byte = [0u8; 1];
@@ -209,6 +206,10 @@ fn read_line(stream: &mut impl BufRead) -> Result<String, HttpError> {
         if available.is_empty() {
             return Err(HttpError::Disconnected);
         }
+        if *budget == 0 {
+            return Err(HttpError::BadRequest("request head too large".into()));
+        }
+        *budget -= 1;
         byte[0] = available[0];
         stream.consume(1);
         if byte[0] == b'\n' {
@@ -219,9 +220,6 @@ fn read_line(stream: &mut impl BufRead) -> Result<String, HttpError> {
                 .map_err(|_| HttpError::BadRequest("head is not UTF-8".into()));
         }
         buf.push(byte[0]);
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::BadRequest("request line too long".into()));
-        }
     }
 }
 

@@ -18,9 +18,9 @@
 //! stream through [`Cache`] and is the oracle the kernel is tested
 //! against, bit for bit.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lhr_trace::{LocalityProfile, SplitMix64};
 
@@ -163,38 +163,6 @@ impl Cache {
     }
 }
 
-/// Multiply-xor folding hasher for the memos' fixed-width `u64`-array
-/// keys (this estimator's and the chip simulator's phase memo): the
-/// default SipHash costs more than the lookup it guards. Collisions only
-/// cost a probe -- the maps store full keys -- so a weak-but-fast hash is
-/// safe here.
-#[derive(Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Integer-slice hashing funnels the whole key through one `write`
-        // call, so fold eight bytes per multiply, not one.
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
 /// Sampling parameters for miss-rate estimation.
 const TARGET_MAX_LINES: u64 = 4096;
 const WARMUP_FACTOR: u64 = 4;
@@ -212,9 +180,23 @@ type EstimateKey = [u64; 8];
 /// Shared across the whole process: miss rates are pure functions of
 /// (locality profile, capacity), so a global memo is sound and keeps full
 /// 61-benchmark x 45-configuration sweeps fast.
+///
+/// Estimates are single-flight: a worker that misses on a key another
+/// worker is estimating waits for that value instead of simulating it
+/// again. The memo is a B-tree, so its memory grows a node at a time
+/// with the estimates made, never by a table doubling.
 #[derive(Debug, Default)]
 pub struct MissRateEstimator {
-    memo: Mutex<HashMap<EstimateKey, f64, BuildHasherDefault<KeyHasher>>>,
+    memo: Mutex<EstimateMemo>,
+    computed: AtomicU64,
+}
+
+/// A [`MissRateEstimator`]'s finished estimates and those in flight.
+#[derive(Debug, Default)]
+struct EstimateMemo {
+    rates: BTreeMap<EstimateKey, f64>,
+    /// Estimates being simulated, for the workers that wait on them.
+    in_flight: BTreeMap<EstimateKey, Arc<OnceLock<f64>>>,
 }
 
 impl MissRateEstimator {
@@ -227,7 +209,7 @@ impl MissRateEstimator {
     /// The process-wide shared estimator.
     #[must_use]
     pub fn global() -> &'static MissRateEstimator {
-        static GLOBAL: std::sync::OnceLock<MissRateEstimator> = std::sync::OnceLock::new();
+        static GLOBAL: OnceLock<MissRateEstimator> = OnceLock::new();
         GLOBAL.get_or_init(MissRateEstimator::new)
     }
 
@@ -251,14 +233,42 @@ impl MissRateEstimator {
             locality.stream_stride(),
             capacity_bytes,
         ];
-        if let Some(&rate) = self.memo.lock().expect("estimator lock").get(&key) {
-            return rate;
-        }
-        let rate = simulate_miss_rate(locality, capacity_bytes);
-        self.memo
+        self.single_flight(key, || simulate_miss_rate(locality, capacity_bytes))
+    }
+
+    /// Simulations this estimator has run to completion: one per distinct
+    /// key, however many workers asked for it at once. An exact count.
+    #[must_use]
+    pub fn estimates_computed(&self) -> u64 {
+        self.computed.load(Ordering::Relaxed)
+    }
+
+    /// The memoized estimate for `key`, from `compute` on a miss. The
+    /// first worker to miss computes it; workers that miss meanwhile wait
+    /// on its flight. If that worker panics, the flight stays empty and
+    /// one of the waiters computes the estimate instead.
+    fn single_flight(&self, key: EstimateKey, compute: impl FnOnce() -> f64) -> f64 {
+        let flight = {
+            let mut memo = self
+                .memo
+                .lock()
+                .expect("no estimator panics holding its lock");
+            if let Some(&rate) = memo.rates.get(&key) {
+                return rate;
+            }
+            Arc::clone(memo.in_flight.entry(key).or_default())
+        };
+        let rate = *flight.get_or_init(|| {
+            let rate = compute();
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            rate
+        });
+        let mut memo = self
+            .memo
             .lock()
-            .expect("estimator lock")
-            .insert(key, rate);
+            .expect("no estimator panics holding its lock");
+        memo.rates.insert(key, rate);
+        memo.in_flight.remove(&key);
         rate
     }
 }
@@ -543,6 +553,99 @@ mod tests {
         assert_eq!(warm_sparse.to_bits(), fresh_sparse.to_bits());
         assert_eq!(warm_unit, 1.0, "unit-stride streaming misses every line");
         assert!(fresh_sparse < 0.2, "eight words per line: {fresh_sparse}");
+    }
+
+    /// Runs `workers` threads that each ask `est` for key `key` at once,
+    /// with `compute` standing in for the simulation; returns each
+    /// worker's result bits, or `None` for a worker that panicked.
+    fn race(
+        est: &MissRateEstimator,
+        workers: usize,
+        compute: &(dyn Fn() -> f64 + Sync),
+    ) -> Vec<Option<u64>> {
+        let key = [1, 2, 3, 4, 5, 6, 7, 8];
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| s.spawn(|| est.single_flight(key, compute).to_bits()))
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+    }
+
+    /// Blocks until `workers` workers hold the one flight in `est`: every
+    /// one of them has missed and joined it. Panics if they have not
+    /// within 30 s, so a memo that stops sharing flights fails the test
+    /// instead of hanging it.
+    fn await_flight(est: &MissRateEstimator, workers: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let memo = est.memo.lock().expect("no test panics holding the lock");
+            let holders = memo.in_flight.values().next().map_or(0, Arc::strong_count);
+            if holders == workers + 1 {
+                return;
+            }
+            drop(memo);
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} of {workers} workers joined the flight",
+                holders.saturating_sub(1)
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn racing_workers_share_one_simulation() {
+        const WORKERS: usize = 4;
+        let est = MissRateEstimator::new();
+        let calls = AtomicU64::new(0);
+        let got = race(&est, WORKERS, &|| {
+            await_flight(&est, WORKERS);
+            calls.fetch_add(1, Ordering::Relaxed);
+            0.25
+        });
+        assert_eq!(got, vec![Some(0.25f64.to_bits()); WORKERS]);
+        assert_eq!(calls.into_inner(), 1);
+        assert_eq!(est.estimates_computed(), 1);
+        assert!(est.memo.lock().expect("unpoisoned").in_flight.is_empty());
+        // The real estimate, raced the same way, gives the oracle's bits.
+        let loc = LocalityProfile::hierarchical(32 << 10, 512 << 10, 16 << 20, 0.6, 0.25);
+        let barrier = std::sync::Barrier::new(WORKERS);
+        let rates: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        est.global_miss_rate(&loc, 256 << 10).to_bits()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        let want = simulate_miss_rate_reference(&loc, 256 << 10).to_bits();
+        assert!(rates.iter().all(|&r| r == want));
+        assert_eq!(est.estimates_computed(), 2);
+    }
+
+    #[test]
+    fn a_panicking_estimate_does_not_strand_its_waiters() {
+        const WORKERS: usize = 4;
+        let est = MissRateEstimator::new();
+        let attempts = AtomicU64::new(0);
+        let got = race(&est, WORKERS, &|| {
+            if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                await_flight(&est, WORKERS);
+                panic!("the first estimate fails");
+            }
+            0.5
+        });
+        // The failing worker panics; a waiter computes the estimate, and
+        // every other worker gets it.
+        assert_eq!(got.iter().filter(|r| r.is_none()).count(), 1, "{got:?}");
+        assert!(got.iter().flatten().all(|&r| r == 0.5f64.to_bits()));
+        assert_eq!(attempts.into_inner(), 2);
+        assert_eq!(est.estimates_computed(), 1);
+        assert!(est.memo.lock().expect("unpoisoned").in_flight.is_empty());
     }
 
     #[test]

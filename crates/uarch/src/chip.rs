@@ -11,7 +11,7 @@
 //! `lhr-sensors` later samples at 50 Hz, mirroring the paper's rig.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use lhr_power::{
@@ -22,7 +22,7 @@ use lhr_trace::{Rng64, SplitMix64};
 use lhr_units::{Joules, Seconds, Volts, Watts};
 use lhr_workloads::{SoftwareThread, ThreadRole, Workload};
 
-use crate::cache::{KeyHasher, MissRateEstimator};
+use crate::cache::MissRateEstimator;
 use crate::config::ChipConfig;
 use crate::interval::{phase_performance, Environment, PhasePerf};
 
@@ -180,26 +180,76 @@ fn env_words(env: &Environment) -> EnvWords {
     ]
 }
 
+/// Multiply-xor folding hasher for the phase memo's fixed-width
+/// `u64`-array keys: the default SipHash costs more than the lookup it
+/// guards. Collisions only cost a probe -- the maps store full keys --
+/// so a weak-but-fast hash is safe here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Integer-slice hashing funnels the whole key through one `write`
+        // call, so fold eight bytes per multiply, not one.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// The process-global interval-model memo. Specs, phases and
-/// environments recur far more often than they combine, so each
-/// distinct one is interned once, through an exact word-array map, and
-/// an entry is keyed on the three indices: equality stays exact on every
-/// input. Values sit in one vector in insertion order, so the memory an
-/// entry holds grows with the entries made, not in the table's doubling
-/// steps.
+/// Entries one [`PhaseMemo`] generation holds before it is retired.
+const MEMO_GENERATION: usize = 2048;
+
+/// Values per chunk of a generation's value store.
+const VALUE_CHUNK: usize = 128;
+
+/// The process-global interval-model memo: two generations of at most
+/// [`MEMO_GENERATION`] entries. A lookup tries the current generation,
+/// then the previous one, and a hit in the previous one is copied into
+/// the current. When the current generation is full it becomes the
+/// previous one and the old previous one is dropped, so the memo holds
+/// at most two generations however many cells a process measures. A
+/// value is a pure function of its key, so a value dropped and computed
+/// again is the same value.
 #[derive(Default)]
 struct PhaseMemo {
+    current: MemoGeneration,
+    previous: MemoGeneration,
+}
+
+/// One [`PhaseMemo`] generation. Specs, phases and environments recur
+/// far more often than they combine, so each distinct one is interned
+/// once, through an exact word-array map, and an entry is keyed on the
+/// three indices: equality stays exact on every input. Values sit in
+/// fixed-size chunks in insertion order, so the memory an entry holds
+/// grows with the entries made, never by copying a doubled vector.
+#[derive(Default)]
+struct MemoGeneration {
     specs: KeyMap<SpecWords, u32>,
     phases: KeyMap<PhaseWords, u32>,
     envs: KeyMap<EnvWords, u32>,
-    /// Index into `values` per entry.
+    /// Index into the values per entry.
     entries: KeyMap<PhaseMemoKey, u32>,
-    values: Vec<PhasePerf>,
+    values: Vec<Vec<PhasePerf>>,
 }
 
-/// A [`PhaseMemo`] entry's key: the interned spec, phase and
+/// A [`MemoGeneration`] entry's key: the interned spec, phase and
 /// environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PhaseMemoKey {
@@ -208,38 +258,79 @@ struct PhaseMemoKey {
     env: u32,
 }
 
+type MemoWords = (SpecWords, PhaseWords, EnvWords);
+
+impl MemoGeneration {
+    fn get(&self, (spec, phase, env): &MemoWords) -> Option<PhasePerf> {
+        let key = PhaseMemoKey {
+            spec: *self.specs.get(spec)?,
+            phase: *self.phases.get(phase)?,
+            env: *self.envs.get(env)?,
+        };
+        let i = *self.entries.get(&key)? as usize;
+        Some(self.values[i / VALUE_CHUNK][i % VALUE_CHUNK])
+    }
+
+    /// Stores `value` under `words` unless an entry is already there.
+    fn insert(&mut self, (spec, phase, env): MemoWords, value: PhasePerf) {
+        let key = PhaseMemoKey {
+            spec: intern(&mut self.specs, spec),
+            phase: intern(&mut self.phases, phase),
+            env: intern(&mut self.envs, env),
+        };
+        let next = u32::try_from(self.entries.len()).expect("fewer than 2^32 entries");
+        if *self.entries.entry(key).or_insert(next) != next {
+            return;
+        }
+        match self.values.last_mut() {
+            Some(chunk) if chunk.len() < VALUE_CHUNK => chunk.push(value),
+            _ => {
+                let mut chunk = Vec::with_capacity(VALUE_CHUNK);
+                chunk.push(value);
+                self.values.push(chunk);
+            }
+        }
+    }
+}
+
+impl PhaseMemo {
+    /// Stores `value` in the current generation, first retiring it if
+    /// it is full.
+    fn insert(&mut self, words: MemoWords, value: PhasePerf) {
+        if self.current.entries.len() >= MEMO_GENERATION {
+            self.previous = std::mem::take(&mut self.current);
+        }
+        self.current.insert(words, value);
+    }
+}
+
 /// Interns `words`: the dense index of its first appearance in `map`.
 fn intern<const N: usize>(map: &mut KeyMap<[u64; N], u32>, words: [u64; N]) -> u32 {
     let next = u32::try_from(map.len()).expect("fewer than 2^32 distinct inputs");
     *map.entry(words).or_insert(next)
 }
 
-/// Looks `(spec, phase, env)` up in `memo`, filling a miss from
-/// `compute` outside the lock.
+/// Looks `words` up in `memo`, filling a miss from `compute` outside
+/// the lock.
 fn memoized(
     memo: &Mutex<PhaseMemo>,
-    (spec, phase, env): (SpecWords, PhaseWords, EnvWords),
+    words: MemoWords,
     compute: impl FnOnce() -> PhasePerf,
 ) -> PhasePerf {
-    let key = {
+    {
         let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let key = PhaseMemoKey {
-            spec: intern(&mut memo.specs, spec),
-            phase: intern(&mut memo.phases, phase),
-            env: intern(&mut memo.envs, env),
-        };
-        if let Some(&i) = memo.entries.get(&key) {
-            return memo.values[i as usize];
+        if let Some(p) = memo.current.get(&words) {
+            return p;
         }
-        key
-    };
-    let p = compute();
-    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if !memo.entries.contains_key(&key) {
-        let i = u32::try_from(memo.values.len()).expect("fewer than 2^32 entries");
-        memo.values.push(p);
-        memo.entries.insert(key, i);
+        if let Some(p) = memo.previous.get(&words) {
+            memo.insert(words, p);
+            return p;
+        }
     }
+    let p = compute();
+    memo.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(words, p);
     p
 }
 
@@ -1486,6 +1577,49 @@ mod tests {
             !lookup(&spec, &phase, &env),
             "the first entry is still there"
         );
+    }
+
+    #[test]
+    fn the_phase_memo_keeps_two_generations_and_promotes_old_hits() {
+        let spec = spec_words(ProcessorId::CoreI7_920.spec());
+        let phase = phase_words(&by_name("jess").expect("exists").trace().phases()[0]);
+        let value = |i: u64| PhasePerf {
+            base_cpi: i as f64,
+            stall_cpi: 0.0,
+            issue_demand: 0.0,
+            events: crate::interval::EventRates::default(),
+        };
+        let memo = Mutex::new(PhaseMemo::default());
+        // Whether entry `i` had to be computed; checks the value either way.
+        let computed = |i: u64| {
+            let mut missed = false;
+            let got = memoized(&memo, (spec, phase, [i, 0, 0, 0]), || {
+                missed = true;
+                value(i)
+            });
+            assert_eq!(got, value(i), "entry {i}");
+            missed
+        };
+        let generation = MEMO_GENERATION as u64;
+        // Generation A holds entries below `generation`; the next one
+        // retires it to previous, and generation B fills.
+        for i in 0..2 * generation {
+            assert!(computed(i), "entry {i} is new");
+        }
+        // Entry 0 hits in A and is copied into the current generation,
+        // which is full: B becomes the previous one and A is dropped.
+        assert!(!computed(0), "the previous generation hits");
+        assert!(
+            computed(1),
+            "an entry of a dropped generation is computed again"
+        );
+        assert!(!computed(generation), "B is now the previous generation");
+        assert!(!computed(0), "the promoted entry hits in the current one");
+        let memo = memo.lock().expect("no test panicked holding the memo");
+        assert_eq!(memo.current.entries.len(), 3);
+        assert_eq!(memo.previous.entries.len(), MEMO_GENERATION);
+        let values: usize = memo.current.values.iter().map(Vec::len).sum();
+        assert_eq!(values, memo.current.entries.len());
     }
 
     #[test]
