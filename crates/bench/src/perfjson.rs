@@ -9,8 +9,9 @@
 //! committed snapshot, and fails on a >15% cells/sec drift, naming the
 //! regressing layer.
 //!
-//! The six layers mirror the criterion groups one-to-one so a drift in
-//! the JSON can be localized with the interactive suite (see PERF.md):
+//! The first six layers mirror the criterion groups one-to-one so a
+//! drift in the JSON can be localized with the interactive suite (see
+//! PERF.md):
 //!
 //! | layer id prefix     | what it times                                  |
 //! |---------------------|------------------------------------------------|
@@ -19,7 +20,8 @@
 //! | `energy_integration`| per-slice energy metering + waveform append    |
 //! | `adc_sensor`        | the validating rig pass: one 10 s run, a batch of three, and a width-3 pass over three Standard-fidelity invocations |
 //! | `cell_e2e`          | one uncached `(config, workload)` cell         |
-//! | `serve_cache_hit`   | the serving layer's warm-cache lookup          |
+//! | `serve_cache_hit`   | the runner's warm-cache lookup (no server)     |
+//! | `obs`               | one SLO observation on the serving default's hour-long ring |
 //!
 //! Two measurement-store layers ([`collect_store`]) ride along since the
 //! store landed: `store_ingest` (the sealed-batch upsert of one sweep's
@@ -37,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use lhr_core::Runner;
 use lhr_obs::sealed::{json_f64, json_str};
-use lhr_obs::{push_json_number, push_json_string};
+use lhr_obs::{push_json_number, push_json_string, Obs, SloConfig, SloTracker};
 use lhr_power::{
     ActivityCounters, EnergyModel, NodeScaling, PowerMeters, PowerWaveform, Structure,
 };
@@ -454,7 +456,7 @@ pub fn time_layer(
 #[must_use]
 #[allow(clippy::missing_panics_doc)] // catalog lookups of known names
 pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
-    let mut layers = Vec::with_capacity(9);
+    let mut layers = Vec::with_capacity(10);
 
     // trace-gen: workload descriptor -> placed software threads, the
     // front of the pipeline (trace clones + VM service synthesis).
@@ -632,6 +634,28 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
             cfg,
             || {
                 std::hint::black_box(runner.try_measure(&config, jess).expect("cache hit"));
+            },
+        ));
+    }
+
+    // observation: one SLO observation on a serving-default tracker whose
+    // ring holds an hour of per-second traffic -- the monitor's own cost,
+    // paid by every request the server and the router answer.
+    {
+        const HOUR: u64 = 3600;
+        let slo = SloTracker::new(SloConfig::default());
+        let obs = Obs::none();
+        for second in 0..HOUR {
+            for i in 0..8 {
+                slo.observe_at(second, i == 0 && second % 100 == 0, 0.001, &obs);
+            }
+        }
+        layers.push(time_layer(
+            "obs/slo_observe_serving_default",
+            "obs",
+            cfg,
+            || {
+                std::hint::black_box(slo.observe_at(HOUR - 1, false, 0.001, &obs));
             },
         ));
     }
@@ -1009,7 +1033,8 @@ mod tests {
                 "adc_sensor",
                 "adc_sensor",
                 "cell_e2e",
-                "serve_cache_hit"
+                "serve_cache_hit",
+                "obs"
             ]
         );
         assert!(report.cells_per_sec > 0.0);

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -288,7 +288,10 @@ pub struct SweepReport {
 pub struct Harness {
     runner: Runner,
     workloads: Vec<&'static Workload>,
-    reference: Mutex<Option<ReferenceSet>>,
+    /// The reference set, published once computed: readers never wait.
+    reference: OnceLock<ReferenceSet>,
+    /// Held while the reference set is computed, so it is computed once.
+    computing_reference: Mutex<()>,
     jobs: Option<usize>,
     sink: Option<Arc<dyn CellSink>>,
 }
@@ -300,7 +303,8 @@ impl Harness {
         Self {
             runner,
             workloads: catalog().iter().collect(),
-            reference: Mutex::new(None),
+            reference: OnceLock::new(),
+            computing_reference: Mutex::new(()),
             jobs: None,
             sink: None,
         }
@@ -316,7 +320,7 @@ impl Harness {
     pub fn with_workloads(mut self, workloads: Vec<&'static Workload>) -> Self {
         assert!(!workloads.is_empty(), "harness needs at least one workload");
         self.workloads = workloads;
-        self.reference.lock().take();
+        self.reference = OnceLock::new();
         self
     }
 
@@ -430,15 +434,21 @@ impl Harness {
     ///
     /// The first [`MeasureError`] hit on the four reference machines.
     pub fn try_reference(&self) -> Result<ReferenceSet, MeasureError> {
-        let mut guard = self.reference.lock();
-        if guard.is_none() {
-            *guard = Some(ReferenceSet::try_compute_on(
-                &self.runner,
-                &self.workloads,
-                self.jobs,
-            )?);
+        self.reference_set().cloned()
+    }
+
+    /// The reference set, computing it on first use. A failed
+    /// computation publishes nothing, so a later call tries again.
+    pub(crate) fn reference_set(&self) -> Result<&ReferenceSet, MeasureError> {
+        if let Some(refs) = self.reference.get() {
+            return Ok(refs);
         }
-        Ok(guard.clone().expect("just computed"))
+        let _computing = self.computing_reference.lock();
+        if let Some(refs) = self.reference.get() {
+            return Ok(refs);
+        }
+        let refs = ReferenceSet::try_compute_on(&self.runner, &self.workloads, self.jobs)?;
+        Ok(self.reference.get_or_init(|| refs))
     }
 
     /// Raw (unnormalized) measurement of one workload.
@@ -484,13 +494,40 @@ impl Harness {
         config: &ChipConfig,
         workload: &Workload,
     ) -> Result<(Evaluation, MeasureHealth), MeasureError> {
-        let refs = self.try_reference()?;
+        let refs = self.reference_set()?;
         let (measurement, health) = self.runner.try_measure(config, workload)?;
-        let eval = normalize(&refs, measurement);
+        Ok((self.record_evaluation(config, refs, measurement), health))
+    }
+
+    /// The cell's evaluation when the runner already holds its
+    /// measurement: what [`Harness::try_evaluate_workload`] returns for
+    /// it, reported to the sink the same way, with a zero
+    /// [`MeasureHealth`] left implied. `None` when the cell is not held
+    /// or the reference set is not computed yet. Never measures, and
+    /// never waits for a reference set another thread is computing.
+    #[must_use]
+    pub fn cached_evaluation(
+        &self,
+        config: &ChipConfig,
+        workload: &Workload,
+    ) -> Option<Evaluation> {
+        let refs = self.reference.get()?;
+        let measurement = self.runner.cached(config, workload)?;
+        Some(self.record_evaluation(config, refs, measurement))
+    }
+
+    /// Normalizes one workload's measurement and reports it to the sink.
+    fn record_evaluation(
+        &self,
+        config: &ChipConfig,
+        refs: &ReferenceSet,
+        measurement: RunMeasurement,
+    ) -> Evaluation {
+        let eval = normalize(refs, measurement);
         if let Some(sink) = &self.sink {
             sink.record_cell(config, std::slice::from_ref(&eval));
         }
-        Ok((eval, health))
+        eval
     }
 
     /// Evaluates every workload on a configuration, in parallel, returning
@@ -532,7 +569,7 @@ impl Harness {
 
     fn evaluate_cell(&self, config: &ChipConfig) -> CellReport {
         let label = config.label();
-        let refs = match self.try_reference() {
+        let refs = match self.reference_set() {
             Ok(refs) => refs,
             Err(e) => {
                 // No reference, no normalization: every workload in the
@@ -550,7 +587,7 @@ impl Harness {
         let outcomes = fan_out(self.jobs, self.runner.observer(), self.workloads.len(), |i| {
             self.runner
                 .try_measure(config, self.workloads[i])
-                .map(|(measurement, health)| (normalize(&refs, measurement), health))
+                .map(|(measurement, health)| (normalize(refs, measurement), health))
         });
         let mut health = CellHealth::default();
         let evaluations: Vec<Result<Evaluation, MeasureError>> = outcomes
@@ -809,6 +846,117 @@ mod tests {
             assert_eq!(&eval, cell.evaluations[i].as_ref().unwrap());
             assert!(health.is_clean());
         }
+    }
+
+    /// A sink that keeps every cell it is given.
+    #[derive(Debug, Default)]
+    struct KeepingSink(Mutex<Vec<(String, Vec<Evaluation>)>>);
+
+    impl CellSink for KeepingSink {
+        fn record_cell(&self, config: &ChipConfig, evaluations: &[Evaluation]) {
+            self.0.lock().push((config.label(), evaluations.to_vec()));
+        }
+    }
+
+    #[test]
+    fn cached_evaluation_reads_what_the_runner_holds_and_never_measures() {
+        use lhr_obs::MemoryRecorder;
+
+        let memory = Arc::new(MemoryRecorder::default());
+        let sink = Arc::new(KeepingSink::default());
+        let h = Harness::quick()
+            .with_observer(Obs::recording(memory.clone()))
+            .with_cell_sink(sink.clone());
+        let i7 = ChipConfig::stock(ProcessorId::CoreI7_920.spec());
+        let by_name = |name| lhr_workloads::by_name(name).expect("quick-set workload");
+        let (jess, mcf) = (by_name("jess"), by_name("mcf"));
+        let counter = |name: &str| memory.snapshot().counter(name);
+
+        // A held cell with no reference set yet: nothing to normalize by.
+        let _ = h.runner().try_measure(&i7, jess).expect("clean cell");
+        assert_eq!(h.cached_evaluation(&i7, jess), None);
+        let refs = h.try_reference().expect("clean rigs");
+        let measured = counter("runner.measurements");
+        assert_eq!(measured, 1 + 4 * h.workloads().len() as u64);
+        // An absent cell.
+        assert_eq!(h.cached_evaluation(&i7, mcf), None);
+        assert_eq!(counter("runner.measurements"), measured, "never measures");
+        assert!(sink.0.lock().is_empty());
+
+        // A held cell reads as the flight path evaluates it, and reaches
+        // the sink the same way.
+        let (want, health) = h.try_evaluate_workload(&i7, jess).expect("held cell");
+        assert!(health.is_clean());
+        let hits = counter("runner.cache_hits");
+        let got = h.cached_evaluation(&i7, jess).expect("held cell");
+        assert_eq!(got, want);
+        assert_eq!(got, normalize(&refs, want.measurement.clone()));
+        assert_eq!(counter("runner.cache_hits"), hits + 1, "one hit counted");
+        assert_eq!(counter("runner.measurements"), measured);
+        let recorded = sink.0.lock();
+        assert_eq!(recorded.len(), 2, "both paths record the cell");
+        assert_eq!(recorded[0], recorded[1]);
+        assert_eq!(recorded[1], (i7.label(), vec![want]));
+    }
+
+    #[test]
+    fn cached_evaluation_never_waits_for_a_reference_set_in_progress() {
+        use lhr_obs::{Event, Recorder};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+
+        /// Holds the first `runner.measure` it sees once armed until the
+        /// test lets it go: the reference set is then mid-computation.
+        struct Gate {
+            armed: AtomicBool,
+            entered: Barrier,
+            release: Barrier,
+        }
+
+        impl Recorder for Gate {
+            fn record(&self, event: &Event<'_>) {
+                if event.name == "runner.measure" && self.armed.swap(false, Ordering::SeqCst) {
+                    self.entered.wait();
+                    self.release.wait();
+                }
+            }
+        }
+
+        let gate = Arc::new(Gate {
+            armed: AtomicBool::new(false),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        });
+        let h = Arc::new(Harness::quick().with_observer(Obs::recording(gate.clone())));
+        let i7 = ChipConfig::stock(ProcessorId::CoreI7_920.spec());
+        let jess = lhr_workloads::by_name("jess").expect("quick-set workload");
+        let _ = h.runner().try_measure(&i7, jess).expect("clean cell");
+
+        gate.armed.store(true, Ordering::SeqCst);
+        let computing = {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || h.try_reference().map(|_| ()))
+        };
+        gate.entered.wait();
+        let (tx, rx) = mpsc::channel();
+        let probe = {
+            let (h, i7) = (Arc::clone(&h), i7.clone());
+            std::thread::spawn(move || tx.send(h.cached_evaluation(&i7, jess)).ok())
+        };
+        let answer = rx.recv_timeout(Duration::from_secs(30));
+        gate.release.wait();
+        computing.join().expect("no panic").expect("clean rigs");
+        probe.join().expect("no panic");
+        assert_eq!(
+            answer,
+            Ok(None),
+            "answers at once, without the reference set"
+        );
+        assert!(
+            h.cached_evaluation(&i7, jess).is_some(),
+            "then reads the held cell"
+        );
     }
 
     #[test]

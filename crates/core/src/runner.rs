@@ -348,11 +348,10 @@ impl Runner {
         config: &ChipConfig,
         workload: &Workload,
     ) -> Result<(RunMeasurement, MeasureHealth), MeasureError> {
-        let key = CellKey::new(config, workload);
-        if let Some((hit, _)) = self.cache.get(&key) {
-            self.obs.counter("runner.cache_hits", 1);
+        if let Some(hit) = self.cached(config, workload) {
             return Ok((hit, MeasureHealth::default()));
         }
+        let key = CellKey::new(config, workload);
         let span = self.obs.span("runner.measure");
         let result = self.measure_uncached(config, workload);
         span.end();
@@ -385,6 +384,16 @@ impl Runner {
             }
         }
         result
+    }
+
+    /// The cell's measurement if this runner already holds it: the one
+    /// definition of a cache hit, counted as `runner.cache_hits`. Never
+    /// measures.
+    #[must_use]
+    pub fn cached(&self, config: &ChipConfig, workload: &Workload) -> Option<RunMeasurement> {
+        let (hit, _) = self.cache.get(&CellKey::new(config, workload))?;
+        self.obs.counter("runner.cache_hits", 1);
+        Some(hit)
     }
 
     /// Measures many cells on up to `jobs` workers (`None`: available

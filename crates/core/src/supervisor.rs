@@ -411,7 +411,7 @@ impl Supervisor {
         // Warm the shared reference normalization outside any per-unit
         // deadline: it is campaign-global state, not one cell's work. A
         // failure is not fatal here -- each unit will surface it.
-        let _ = self.harness.try_reference();
+        let _ = self.harness.reference_set();
 
         let n = units.len();
         let started = Instant::now();

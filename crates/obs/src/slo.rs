@@ -23,6 +23,16 @@
 //! **clears** only when both fall below `clear_threshold`
 //! (`clear < fire` is the hysteresis gap).
 //!
+//! An observation costs O(1), not a scan of both windows: beside the
+//! ring the tracker keeps the two window sums as of the last second
+//! observed, minus that second's own cell. Later observations in that
+//! second add the cell back; the first observation in any other second
+//! (a new second, or an older one when two workers straddle a second
+//! boundary) rescans once and keeps that second's sums instead. Every
+//! observation therefore steps the alert state machine with exactly
+//! the burns [`SloTracker::status_at`], which always scans, reports for
+//! its second; the scan is the oracle the kept sums are tested against.
+//!
 //! Transitions are reported through an optional [`crate::Obs`] as
 //! `slo.alert.fired` / `slo.alert.cleared` counters with a mark carrying
 //! the burn numbers, so the event stream records exactly when and why
@@ -84,9 +94,43 @@ pub enum AlertState {
 struct SecondCell {
     /// Seconds since the tracker's epoch; `u64::MAX` = vacant.
     index: u64,
+    counts: Counts,
+}
+
+/// Request outcomes summed over some seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
     total: u64,
     errors: u64,
     slow: u64,
+}
+
+impl Counts {
+    fn plus(self, other: Counts) -> Counts {
+        Counts {
+            total: self.total + other.total,
+            errors: self.errors + other.errors,
+            slow: self.slow + other.slow,
+        }
+    }
+
+    fn minus(self, other: Counts) -> Counts {
+        Counts {
+            total: self.total - other.total,
+            errors: self.errors - other.errors,
+            slow: self.slow - other.slow,
+        }
+    }
+}
+
+/// The short and long window sums ending at `second`, without that
+/// second's own cell: what every later observation in `second` adds its
+/// cell to.
+#[derive(Debug, Clone, Copy)]
+struct KeptSums {
+    second: u64,
+    short: Counts,
+    long: Counts,
 }
 
 /// Burn rates over one objective, per window.
@@ -128,6 +172,9 @@ impl SloStatus {
 struct SloState {
     ring: Vec<SecondCell>,
     state: AlertState,
+    /// Valid while no cell but `kept.second`'s changes: any observation
+    /// in another second replaces it.
+    kept: Option<KeptSums>,
 }
 
 /// Multi-window burn-rate tracker; see the module docs.
@@ -170,6 +217,7 @@ impl SloTracker {
                     cells
                 ],
                 state: AlertState::Ok,
+                kept: None,
             }),
         }
     }
@@ -192,11 +240,36 @@ impl SloTracker {
     }
 
     /// Test seam: [`SloTracker::observe`] at an explicit second.
-    pub fn observe_at(&self, second: u64, is_error: bool, latency_seconds: f64, obs: &Obs) {
+    ///
+    /// Returns the status the observation left: the burns it stepped the
+    /// alert state machine with and the state it moved to, which is what
+    /// [`SloTracker::status_at`] reports for `second` right after. `None`
+    /// if the lock was poisoned and the observation dropped.
+    pub fn observe_at(
+        &self,
+        second: u64,
+        is_error: bool,
+        latency_seconds: f64,
+        obs: &Obs,
+    ) -> Option<SloStatus> {
+        self.observe_with(second, is_error, latency_seconds, obs, Self::kept_sums)
+    }
+
+    /// Records one observation in the ring, then steps the state machine
+    /// with the window sums `sums` gives for `second` (the cell already
+    /// counted).
+    fn observe_with(
+        &self,
+        second: u64,
+        is_error: bool,
+        latency_seconds: f64,
+        obs: &Obs,
+        sums: impl FnOnce(&SloConfig, &mut SloState, u64, Counts) -> (Counts, Counts),
+    ) -> Option<SloStatus> {
         let slow = latency_seconds > self.config.latency_threshold_seconds;
-        let transition = {
+        let (status, transition) = {
             let Ok(mut state) = self.state.lock() else {
-                return;
+                return None;
             };
             let len = state.ring.len() as u64;
             #[allow(clippy::cast_possible_truncation)]
@@ -208,11 +281,22 @@ impl SloTracker {
                     ..SecondCell::default()
                 };
             }
-            cell.total += 1;
-            cell.errors += u64::from(is_error);
-            cell.slow += u64::from(slow);
-            let status = Self::status_locked(&self.config, &state, second);
-            Self::step_locked(&self.config, &mut state, &status)
+            cell.counts = cell.counts.plus(Counts {
+                total: 1,
+                errors: u64::from(is_error),
+                slow: u64::from(slow),
+            });
+            let cell = cell.counts;
+            let (short, long) = sums(&self.config, &mut state, second, cell);
+            let status = Self::status_of(&self.config, short, long, state.state);
+            let transition = Self::step_locked(&self.config, &mut state, &status);
+            (
+                SloStatus {
+                    state: state.state,
+                    ..status
+                },
+                transition,
+            )
         };
         if let Some((fired, status)) = transition {
             let (name, verb) = if fired {
@@ -234,20 +318,45 @@ impl SloTracker {
                 );
             }
         }
+        Some(status)
     }
 
-    /// Burn over `window` seconds ending at `now`, per objective.
-    fn window_counts(ring: &[SecondCell], now: u64, window: u64) -> (u64, u64, u64) {
-        let oldest = now.saturating_sub(window - 1);
-        let (mut total, mut errors, mut slow) = (0, 0, 0);
-        for cell in ring {
-            if cell.index != u64::MAX && cell.index >= oldest && cell.index <= now {
-                total += cell.total;
-                errors += cell.errors;
-                slow += cell.slow;
-            }
+    /// The window sums for `second`, whose cell reads `cell`: the kept
+    /// sums plus the cell when they are `second`'s, else one scan, whose
+    /// sums without the cell are kept for the next observation.
+    fn kept_sums(
+        config: &SloConfig,
+        state: &mut SloState,
+        second: u64,
+        cell: Counts,
+    ) -> (Counts, Counts) {
+        if let Some(kept) = state.kept.filter(|k| k.second == second) {
+            return (kept.short.plus(cell), kept.long.plus(cell));
         }
-        (total, errors, slow)
+        let (short, long) = Self::scanned_sums(config, state, second);
+        state.kept = Some(KeptSums {
+            second,
+            short: short.minus(cell),
+            long: long.minus(cell),
+        });
+        (short, long)
+    }
+
+    /// The short and long window sums ending at `now`, from a full scan
+    /// of the ring.
+    fn scanned_sums(config: &SloConfig, state: &SloState, now: u64) -> (Counts, Counts) {
+        (
+            Self::window_counts(&state.ring, now, u64::from(config.short_window_seconds)),
+            Self::window_counts(&state.ring, now, u64::from(config.long_window_seconds)),
+        )
+    }
+
+    /// Request outcomes over `window` seconds ending at `now`.
+    fn window_counts(ring: &[SecondCell], now: u64, window: u64) -> Counts {
+        let oldest = now.saturating_sub(window - 1);
+        ring.iter()
+            .filter(|cell| cell.index != u64::MAX && cell.index >= oldest && cell.index <= now)
+            .fold(Counts::default(), |sum, cell| sum.plus(cell.counts))
     }
 
     #[allow(clippy::cast_precision_loss)]
@@ -259,22 +368,18 @@ impl SloTracker {
         (bad as f64 / total as f64) / budget
     }
 
-    fn status_locked(config: &SloConfig, state: &SloState, now: u64) -> SloStatus {
-        let short = u64::from(config.short_window_seconds);
-        let long = u64::from(config.long_window_seconds);
-        let (ts, es, ss) = Self::window_counts(&state.ring, now, short);
-        let (tl, el, sl) = Self::window_counts(&state.ring, now, long);
+    fn status_of(config: &SloConfig, short: Counts, long: Counts, state: AlertState) -> SloStatus {
         SloStatus {
             availability: BurnRates {
-                short: Self::burn(es, ts, config.availability_target),
-                long: Self::burn(el, tl, config.availability_target),
+                short: Self::burn(short.errors, short.total, config.availability_target),
+                long: Self::burn(long.errors, long.total, config.availability_target),
             },
             latency: BurnRates {
-                short: Self::burn(ss, ts, config.latency_target),
-                long: Self::burn(sl, tl, config.latency_target),
+                short: Self::burn(short.slow, short.total, config.latency_target),
+                long: Self::burn(long.slow, long.total, config.latency_target),
             },
-            total_long: tl,
-            state: state.state,
+            total_long: long.total,
+            state,
         }
     }
 
@@ -337,7 +442,8 @@ impl SloTracker {
     #[must_use]
     pub fn status_at(&self, second: u64) -> SloStatus {
         let state = self.state.lock().expect("slo lock poisoned");
-        Self::status_locked(&self.config, &state, second)
+        let (short, long) = Self::scanned_sums(&self.config, &state, second);
+        Self::status_of(&self.config, short, long, state.state)
     }
 }
 
@@ -468,6 +574,156 @@ mod tests {
         assert!(s.availability.short.abs() < 1e-9, "no errors");
         assert!(s.latency.short >= 2.0, "{s:?}");
         assert_eq!(s.state, AlertState::Firing);
+    }
+
+    impl SloTracker {
+        /// The oracle: [`SloTracker::observe_at`] stepping the state
+        /// machine with a full scan at every observation.
+        fn observe_scanning_at(
+            &self,
+            second: u64,
+            is_error: bool,
+            latency_seconds: f64,
+            obs: &Obs,
+        ) -> Option<SloStatus> {
+            self.observe_with(
+                second,
+                is_error,
+                latency_seconds,
+                obs,
+                |config, state, now, _| Self::scanned_sums(config, state, now),
+            )
+        }
+    }
+
+    /// SplitMix64, for drawing an observation sequence from one seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (`n > 0`).
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The `slo.alert` marks a recorder saw, in order.
+    fn alert_marks(memory: &crate::MemoryRecorder) -> Vec<String> {
+        memory
+            .snapshot()
+            .marks
+            .into_iter()
+            .filter(|(name, _)| name == "slo.alert")
+            .map(|(_, detail)| detail)
+            .collect()
+    }
+
+    /// Runs one random observation sequence through a tracker and the
+    /// scanning oracle side by side: every observation must step the
+    /// alert with exactly the status a full scan gives at its second,
+    /// and both must fire and clear alike. Returns the transitions seen,
+    /// `(fired, cleared)`.
+    fn check_against_the_scan(seed: u64, small: bool) -> (u64, u64) {
+        let mut g = Gen(seed);
+        let config = if small {
+            let short = 1 + g.below(5) as u32;
+            SloConfig {
+                short_window_seconds: short,
+                long_window_seconds: short + g.below(10) as u32,
+                ..tight()
+            }
+        } else {
+            SloConfig::default()
+        };
+        let (short, long) = (
+            u64::from(config.short_window_seconds),
+            u64::from(config.long_window_seconds),
+        );
+        let fast = SloTracker::new(config);
+        let oracle = SloTracker::new(config);
+        let fast_memory = std::sync::Arc::new(crate::MemoryRecorder::default());
+        let oracle_memory = std::sync::Arc::new(crate::MemoryRecorder::default());
+        let (fast_obs, oracle_obs) = (
+            Obs::recording(fast_memory.clone()),
+            Obs::recording(oracle_memory.clone()),
+        );
+        let mut second = g.below(50);
+        let (mut error_pct, mut slow_pct) = (0, 0);
+        for step in 0..600 {
+            // Traffic phases long enough to fire the alert, and to clear it.
+            if step % 60 == 0 {
+                error_pct = [0, 0, 5, 30, 90][g.below(5) as usize];
+                slow_pct = [0, 0, 0, 30, 90][g.below(5) as usize];
+            }
+            // Mostly the same second or the next; some steps back by 1-3
+            // (workers straddling a boundary); some jumps past a window.
+            second = match g.below(100) {
+                0..=69 => second,
+                70..=84 => second + 1,
+                85..=92 => second.saturating_sub(1 + g.below(3)),
+                93..=96 => second + short + g.below(short + 1),
+                _ => second + long + g.below(long + 1),
+            };
+            let is_error = g.below(100) < error_pct;
+            let latency = if g.below(100) < slow_pct {
+                2.0 * config.latency_threshold_seconds
+            } else {
+                0.5 * config.latency_threshold_seconds
+            };
+            let got = fast
+                .observe_at(second, is_error, latency, &fast_obs)
+                .expect("unpoisoned");
+            assert_eq!(
+                got,
+                fast.status_at(second),
+                "seed {seed} step {step} at second {second}"
+            );
+            let want = oracle
+                .observe_scanning_at(second, is_error, latency, &oracle_obs)
+                .expect("unpoisoned");
+            assert_eq!(got, want, "seed {seed} step {step} at second {second}");
+        }
+        let (fast_snap, oracle_snap) = (fast_memory.snapshot(), oracle_memory.snapshot());
+        for name in ["slo.alert.fired", "slo.alert.cleared"] {
+            assert_eq!(
+                fast_snap.counter(name),
+                oracle_snap.counter(name),
+                "seed {seed}"
+            );
+        }
+        assert_eq!(
+            alert_marks(&fast_memory),
+            alert_marks(&oracle_memory),
+            "seed {seed}"
+        );
+        (
+            fast_snap.counter("slo.alert.fired"),
+            fast_snap.counter("slo.alert.cleared"),
+        )
+    }
+
+    #[test]
+    fn kept_sums_step_the_alert_with_the_scanned_status() {
+        for small in [true, false] {
+            let (mut fired, mut cleared) = (0, 0);
+            for seed in 0..48 {
+                let (f, c) = check_against_the_scan(seed, small);
+                fired += f;
+                cleared += c;
+            }
+            // The property is only as strong as the transitions it reaches.
+            assert!(
+                fired >= 100 && cleared >= 100,
+                "small {small}: {fired} fired, {cleared} cleared"
+            );
+        }
     }
 
     #[test]

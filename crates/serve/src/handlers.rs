@@ -5,7 +5,9 @@
 //! measurement engine -- go through the [`FlightBoard`]: requests for
 //! the same cell coalesce onto one computation, capacity and deadline
 //! policies bound the worst case, and the rendered body is shared so
-//! coalesced responses are byte-identical.
+//! coalesced responses are byte-identical. A `/v1/cell` whose cell the
+//! runner already holds runs no engine work: it is rendered inline by
+//! the same function, so a warm body equals the flight's.
 //!
 //! All request validation (unknown chip, bad configuration descriptor,
 //! unknown workload) happens *before* a flight opens, so `400`/`404`
@@ -18,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lhr_core::cache::{config_fingerprint, workload_fingerprint};
-use lhr_core::{experiments::pareto, Harness};
+use lhr_core::{experiments::pareto, Evaluation, Harness, MeasureHealth};
 use lhr_obs::{context, prom, push_json_number, push_json_string, AlertState, Obs};
 use lhr_uarch::{ChipConfig, ProcessorId};
 use lhr_units::Hertz;
@@ -412,6 +414,13 @@ fn cell(state: &Arc<ServeState>, req: &Request) -> Response {
         Ok(c) => c,
         Err(detail) => return Response::error(400, "bad_config", &detail),
     };
+    // A cell the runner already holds is a read: rendered here on the
+    // worker, with no flight and no thread, so the live-flight cap
+    // cannot refuse it. A hit costs nothing, which is the health
+    // `try_measure` reports for one.
+    if let Some(eval) = state.harness.cached_evaluation(&config, workload) {
+        return Response::ok_json(cell_body(&config, &eval, &MeasureHealth::default()));
+    }
     // Key on structural fingerprints, not labels: two configurations
     // whose labels round to the same text are still distinct cells.
     let key = format!(
@@ -426,35 +435,40 @@ fn cell(state: &Arc<ServeState>, req: &Request) -> Response {
             .harness
             .try_evaluate_workload(&config, workload)
             .map_err(|e| e.to_string())?;
-        let m = &eval.measurement;
-        let mut body = String::with_capacity(256);
-        body.push_str("{\"chip\":");
-        push_json_string(&mut body, config.spec().short);
-        body.push_str(",\"config\":");
-        push_json_string(&mut body, &config.label());
-        body.push_str(",\"workload\":");
-        push_json_string(&mut body, m.workload);
-        body.push_str(",\"group\":");
-        push_json_string(&mut body, &m.group.to_string());
-        body.push_str(",\"seconds\":");
-        push_json_number(&mut body, m.time.mean());
-        body.push_str(",\"watts\":");
-        push_json_number(&mut body, m.power.mean());
-        body.push_str(",\"joules\":");
-        push_json_number(&mut body, m.time.mean() * m.power.mean());
-        body.push_str(",\"perf_norm\":");
-        push_json_number(&mut body, eval.perf_norm);
-        body.push_str(",\"energy_norm\":");
-        push_json_number(&mut body, eval.energy_norm);
-        body.push_str(",\"health\":{\"retries\":");
-        push_json_number(&mut body, health.retries as f64);
-        body.push_str(",\"recalibrations\":");
-        push_json_number(&mut body, health.recalibrations as f64);
-        body.push_str(",\"rejected_outliers\":");
-        push_json_number(&mut body, health.rejected_outliers as f64);
-        body.push_str("}}\n");
-        Ok(body)
+        Ok(cell_body(&config, &eval, &health))
     })
+}
+
+/// The `/v1/cell` body: one evaluated cell and what it cost to measure.
+fn cell_body(config: &ChipConfig, eval: &Evaluation, health: &MeasureHealth) -> String {
+    let m = &eval.measurement;
+    let mut body = String::with_capacity(256);
+    body.push_str("{\"chip\":");
+    push_json_string(&mut body, config.spec().short);
+    body.push_str(",\"config\":");
+    push_json_string(&mut body, &config.label());
+    body.push_str(",\"workload\":");
+    push_json_string(&mut body, m.workload);
+    body.push_str(",\"group\":");
+    push_json_string(&mut body, &m.group.to_string());
+    body.push_str(",\"seconds\":");
+    push_json_number(&mut body, m.time.mean());
+    body.push_str(",\"watts\":");
+    push_json_number(&mut body, m.power.mean());
+    body.push_str(",\"joules\":");
+    push_json_number(&mut body, m.time.mean() * m.power.mean());
+    body.push_str(",\"perf_norm\":");
+    push_json_number(&mut body, eval.perf_norm);
+    body.push_str(",\"energy_norm\":");
+    push_json_number(&mut body, eval.energy_norm);
+    body.push_str(",\"health\":{\"retries\":");
+    push_json_number(&mut body, health.retries as f64);
+    body.push_str(",\"recalibrations\":");
+    push_json_number(&mut body, health.recalibrations as f64);
+    body.push_str(",\"rejected_outliers\":");
+    push_json_number(&mut body, health.rejected_outliers as f64);
+    body.push_str("}}\n");
+    body
 }
 
 // ---------------------------------------------------------------------

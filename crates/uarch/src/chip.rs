@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use lhr_power::{
     ActivityCounters, EnergyModel, EventEnergies, NodeScaling, PowerMeters, PowerWaveform,
@@ -227,10 +227,18 @@ const VALUE_CHUNK: usize = 128;
 /// at most two generations however many cells a process measures. A
 /// value is a pure function of its key, so a value dropped and computed
 /// again is the same value.
+///
+/// Fills are single-flight: a worker that misses on a key another
+/// worker is computing waits for that value instead of computing it
+/// again.
 #[derive(Default)]
 struct PhaseMemo {
     current: MemoGeneration,
     previous: MemoGeneration,
+    /// Values being computed, for the workers that wait on them.
+    in_flight: KeyMap<MemoWords, Arc<OnceLock<PhasePerf>>>,
+    /// Values computed to completion: an exact count.
+    computed: u64,
 }
 
 /// One [`PhaseMemo`] generation. Specs, phases and environments recur
@@ -311,13 +319,15 @@ fn intern<const N: usize>(map: &mut KeyMap<[u64; N], u32>, words: [u64; N]) -> u
 }
 
 /// Looks `words` up in `memo`, filling a miss from `compute` outside
-/// the lock.
+/// the lock. The first worker to miss computes the value; workers that
+/// miss meanwhile wait on its flight. If that worker panics, the flight
+/// stays empty and one of the waiters computes the value instead.
 fn memoized(
     memo: &Mutex<PhaseMemo>,
     words: MemoWords,
     compute: impl FnOnce() -> PhasePerf,
 ) -> PhasePerf {
-    {
+    let flight = {
         let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(p) = memo.current.get(&words) {
             return p;
@@ -326,12 +336,37 @@ fn memoized(
             memo.insert(words, p);
             return p;
         }
+        Arc::clone(memo.in_flight.entry(words).or_default())
+    };
+    let mut computed = false;
+    let p = *flight.get_or_init(|| {
+        computed = true;
+        compute()
+    });
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    memo.computed += u64::from(computed);
+    // The first worker back retires the flight and stores the value once.
+    if memo.in_flight.remove(&words).is_some() {
+        memo.insert(words, p);
     }
-    let p = compute();
-    memo.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(words, p);
     p
+}
+
+/// The process-global [`PhaseMemo`].
+fn phase_memo() -> &'static Mutex<PhaseMemo> {
+    static MEMO: OnceLock<Mutex<PhaseMemo>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
+}
+
+/// Interval-model values the process-global phase memo has computed to
+/// completion: one per key it filled, however many workers missed on
+/// that key at once. An exact count.
+#[must_use]
+pub fn phase_values_computed() -> u64 {
+    phase_memo()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .computed
 }
 
 /// Process-global memo over [`phase_performance`].
@@ -353,9 +388,8 @@ fn cached_phase_performance(
     if env.bw_dilation.to_bits() != 1.0f64.to_bits() {
         return phase_performance(spec, phase, env, estimator);
     }
-    static MEMO: OnceLock<Mutex<PhaseMemo>> = OnceLock::new();
     memoized(
-        MEMO.get_or_init(Mutex::default),
+        phase_memo(),
         (spec_words(spec), phase_words(phase), env_words(env)),
         || phase_performance(spec, phase, env, estimator),
     )
@@ -1620,6 +1654,113 @@ mod tests {
         assert_eq!(memo.previous.entries.len(), MEMO_GENERATION);
         let values: usize = memo.current.values.iter().map(Vec::len).sum();
         assert_eq!(values, memo.current.entries.len());
+    }
+
+    /// A phase-memo key for the race tests.
+    fn race_key() -> MemoWords {
+        let phase = &by_name("jess").expect("exists").trace().phases()[0];
+        (
+            spec_words(ProcessorId::CoreI7_920.spec()),
+            phase_words(phase),
+            [1, 2, 3, 4],
+        )
+    }
+
+    /// Runs `workers` threads that each look up [`race_key`] in `memo`
+    /// at once, with `compute` standing in for the interval model;
+    /// returns each worker's value, or `None` for a worker that panicked.
+    fn race(
+        memo: &Mutex<PhaseMemo>,
+        workers: usize,
+        compute: &(dyn Fn() -> PhasePerf + Sync),
+    ) -> Vec<Option<PhasePerf>> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| s.spawn(|| memoized(memo, race_key(), compute)))
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+    }
+
+    /// Blocks until `workers` workers hold the one flight in `memo`:
+    /// every one of them has missed and joined it. Panics if they have
+    /// not within 30 s, so a memo that stops sharing flights fails the
+    /// test instead of hanging it.
+    fn await_flight(memo: &Mutex<PhaseMemo>, workers: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let guard = memo.lock().expect("no test panics holding the memo");
+            let holders = guard.in_flight.values().next().map_or(0, Arc::strong_count);
+            if holders == workers + 1 {
+                return;
+            }
+            drop(guard);
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} of {workers} workers joined the flight",
+                holders.saturating_sub(1)
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn racing_workers_share_one_phase_value() {
+        const WORKERS: usize = 4;
+        let (spec, phase, env) = (
+            ProcessorId::CoreI7_920.spec(),
+            &by_name("jess").expect("exists").trace().phases()[0],
+            Environment::solo(
+                ProcessorId::CoreI7_920.spec(),
+                ProcessorId::CoreI7_920.spec().base_clock,
+            ),
+        );
+        let estimator = MissRateEstimator::new();
+        let want = phase_performance(spec, phase, &env, &estimator);
+        let memo = Mutex::new(PhaseMemo::default());
+        let calls = std::sync::atomic::AtomicU64::new(0);
+        let got = race(&memo, WORKERS, &|| {
+            await_flight(&memo, WORKERS);
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            phase_performance(spec, phase, &env, &estimator)
+        });
+        assert_eq!(got, vec![Some(want); WORKERS]);
+        assert_eq!(calls.into_inner(), 1);
+        let guard = memo.lock().expect("unpoisoned");
+        assert_eq!(guard.computed, 1);
+        assert!(guard.in_flight.is_empty());
+        assert_eq!(guard.current.entries.len(), 1, "stored once");
+        drop(guard);
+        let hit = memoized(&memo, race_key(), || panic!("a stored value hits"));
+        assert_eq!(hit, want);
+    }
+
+    #[test]
+    fn a_panicking_phase_value_does_not_strand_its_waiters() {
+        const WORKERS: usize = 4;
+        let value = PhasePerf {
+            base_cpi: 0.5,
+            stall_cpi: 0.25,
+            issue_demand: 1.0,
+            events: crate::interval::EventRates::default(),
+        };
+        let memo = Mutex::new(PhaseMemo::default());
+        let attempts = std::sync::atomic::AtomicU64::new(0);
+        let got = race(&memo, WORKERS, &|| {
+            if attempts.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0 {
+                await_flight(&memo, WORKERS);
+                panic!("the first computation fails");
+            }
+            value
+        });
+        // The failing worker panics; a waiter computes the value, and
+        // every other worker gets it.
+        assert_eq!(got.iter().filter(|r| r.is_none()).count(), 1, "{got:?}");
+        assert!(got.iter().flatten().all(|&p| p == value));
+        assert_eq!(attempts.into_inner(), 2);
+        let guard = memo.lock().expect("unpoisoned");
+        assert_eq!(guard.computed, 1);
+        assert!(guard.in_flight.is_empty());
     }
 
     #[test]

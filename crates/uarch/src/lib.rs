@@ -41,7 +41,7 @@ pub mod predictor;
 
 pub use cache::{simulate_miss_rate_reference, Cache, CacheGeometry, MissRateEstimator, Tlb};
 pub use catalog::{processors, processors_45nm, CoreParams, MemorySystem, Microarch, PowerParams, ProcessorId, ProcessorSpec};
-pub use chip::{ChipSimulator, RunResult, SimScratch};
+pub use chip::{phase_values_computed, ChipSimulator, RunResult, SimScratch};
 pub use config::{ChipConfig, ConfigError};
 pub use interval::{phase_performance, Environment, EventRates, PhasePerf};
 pub use predictor::{Bimodal, BranchPredictor, BranchWorkload, Gshare};
