@@ -94,6 +94,7 @@ fn main() {
     }
     println!("total: {:.1?}; outputs in {}", t0.elapsed(), out_dir.display());
     println!("runner health: {}", prepared.harness.runner().health());
+    println!("campaign journal: {} syncs", prepared.journal_syncs());
     println!("{}", observability.profile_summary());
     if !mismatched.is_empty() {
         println!(

@@ -3,13 +3,13 @@
 //!
 //! Every resolved `(configuration, workload)` cell is appended to a
 //! crash-safe write-ahead journal ([`lhr_core::journal`], by default
-//! `campaign.jsonl` next to the artifacts) the moment it resolves, and
-//! `--resume` replays the journal into the runner's measurement cache
-//! so only the missing cells re-execute. A resumed campaign regenerates
-//! outputs **byte-identical** to an uninterrupted one -- locked in by
-//! the `campaign_resume` integration test. Artifact checksums are
-//! journaled too, letting a resumed run verify it reproduced the same
-//! bytes.
+//! `campaign.jsonl` next to the artifacts) in the batch it resolves in,
+//! and `--resume` replays the journal into the runner's measurement
+//! cache so only the missing cells re-execute. A resumed campaign
+//! regenerates outputs **byte-identical** to an uninterrupted one --
+//! locked in by the `campaign_resume` integration test. Artifact
+//! checksums are journaled too, letting a resumed run verify it
+//! reproduced the same bytes.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -53,8 +53,10 @@ pub struct CampaignOptions {
     pub max_cell_seconds: Option<f64>,
     /// `--jobs <n>`: cap on concurrent measurement workers.
     pub jobs: Option<usize>,
-    /// `--abort-after <n>`: deterministically abort the campaign after
-    /// `n` cells resolve (the kill half of the kill-and-resume test).
+    /// `--abort-after <n>`: abort the campaign once `n` cells resolve
+    /// (the kill half of the kill-and-resume test). The journal batch
+    /// that crosses `n` is written whole, so the journal may hold a few
+    /// more than `n` cells.
     pub abort_after: Option<usize>,
     /// `--out-dir <path>`: artifact directory (default `repro_out`).
     pub out_dir: PathBuf,
@@ -134,9 +136,12 @@ impl CampaignOptions {
 // Progress sink
 // ---------------------------------------------------------------------
 
-/// The supervisor sink the binaries use: journals every resolved unit,
-/// prints periodic progress (cells done/remaining, retries, ETA), and
-/// trips the abort handle when `--abort-after` says so.
+/// The supervisor sink the binaries use: journals every batch of
+/// resolved units with one write and one sync, then prints periodic
+/// progress (cells done/remaining, retries, ETA) and trips the abort
+/// handle when `--abort-after` says so. The batch that crosses the
+/// `--abort-after` count is journaled whole, so the journal may hold a
+/// few more cells than the count.
 struct ProgressSink {
     writer: Arc<JournalWriter>,
     total: usize,
@@ -170,14 +175,10 @@ impl ProgressSink {
             abort,
         }
     }
-}
 
-impl CampaignSink for ProgressSink {
+    /// Counts one journaled unit toward progress and `--abort-after`.
     #[allow(clippy::cast_precision_loss)]
-    fn unit_resolved(&self, unit: &UnitReport) {
-        if let Err(e) = self.writer.record_unit(unit) {
-            eprintln!("[campaign] journal append failed: {e}");
-        }
+    fn count(&self, unit: &UnitReport) {
         let fresh = self.resolved.fetch_add(1, Ordering::Relaxed) + 1;
         let retries = self
             .retries
@@ -200,6 +201,21 @@ impl CampaignSink for ProgressSink {
             if fresh >= n {
                 self.abort.abort();
             }
+        }
+    }
+}
+
+impl CampaignSink for ProgressSink {
+    fn unit_resolved(&self, unit: &UnitReport) {
+        self.units_resolved(std::slice::from_ref(unit));
+    }
+
+    fn units_resolved(&self, units: &[UnitReport]) {
+        if let Err(e) = self.writer.record_units(units) {
+            eprintln!("[campaign] journal append failed: {e}");
+        }
+        for unit in units {
+            self.count(unit);
         }
     }
 }
@@ -237,6 +253,14 @@ impl Campaign {
     #[must_use]
     pub fn prior_artifact(&self, name: &str) -> Option<u64> {
         self.prior_artifacts.get(name).copied()
+    }
+
+    /// The journal's `sync_data` calls so far (0 without a journal):
+    /// one for the header, one per batch of resolved cells, one per
+    /// artifact.
+    #[must_use]
+    pub fn journal_syncs(&self) -> u64 {
+        self.writer.as_ref().map_or(0, |w| w.syncs())
     }
 
     /// Journals a freshly written artifact's checksum.

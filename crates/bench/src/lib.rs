@@ -19,8 +19,9 @@
 //! `--journal <path>` arms a crash-safe write-ahead journal of resolved
 //! cells, `--resume` replays it so only missing cells re-execute,
 //! `--max-cell-seconds <s>` puts a watchdog deadline on each cell,
-//! `--jobs <n>` caps worker threads, and `--abort-after <n>` aborts
-//! deterministically (the kill half of the kill-and-resume test). None
+//! `--jobs <n>` sets the number of workers, and `--abort-after <n>`
+//! aborts once `n` cells resolve (the kill half of the kill-and-resume
+//! test). None
 //! of these change a rendered byte: supervision schedules measurements,
 //! it never touches their values.
 
@@ -323,6 +324,25 @@ impl Observability {
             out,
             "  worker panics     {}",
             snap.counter("sweep.worker_panics")
+        );
+        let _ = writeln!(
+            out,
+            "  campaign workers  {} spawned",
+            snap.counter("campaign.workers_spawned")
+        );
+        // Flight waits depend on timing: reported, never gated on.
+        let _ = writeln!(
+            out,
+            "  phase values      {} computed, {} flight waits",
+            lhr_uarch::phase_values_computed(),
+            lhr_uarch::phase_value_waits(),
+        );
+        let estimator = lhr_uarch::MissRateEstimator::global();
+        let _ = writeln!(
+            out,
+            "  miss-rate estimates {} computed, {} flight waits",
+            estimator.estimates_computed(),
+            estimator.flight_waits(),
         );
         if let Some((path, json)) = &self.trace {
             let _ = writeln!(

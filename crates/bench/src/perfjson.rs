@@ -22,6 +22,7 @@
 //! | `cell_e2e`          | one uncached `(config, workload)` cell         |
 //! | `serve_cache_hit`   | the runner's warm-cache lookup (no server)     |
 //! | `obs`               | one SLO observation on the serving default's hour-long ring |
+//! | `campaign`          | one supervised run over the 540 Quick-grid units, every cell held, journal on a temporary file |
 //!
 //! Two measurement-store layers ([`collect_store`]) ride along since the
 //! store landed: `store_ingest` (the sealed-batch upsert of one sweep's
@@ -34,16 +35,21 @@
 //! `allocs_per_iter: None`.
 
 use std::fmt::Write as _;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use lhr_core::Runner;
+use lhr_core::journal::JournalWriter;
+use lhr_core::{
+    configs, grid_units, AbortHandle, CampaignSink, Harness, MeasureHealth, RunMeasurement, Runner,
+    Supervisor, UnitReport,
+};
 use lhr_obs::sealed::{json_f64, json_str};
 use lhr_obs::{push_json_number, push_json_string, Obs, SloConfig, SloTracker};
 use lhr_power::{
     ActivityCounters, EnergyModel, NodeScaling, PowerMeters, PowerWaveform, Structure,
 };
 use lhr_sensors::MeasurementRig;
+use lhr_stats::Summary;
 use lhr_uarch::{
     phase_performance, ChipConfig, ChipSimulator, Environment, MissRateEstimator, ProcessorId,
 };
@@ -660,11 +666,71 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
         ));
     }
 
+    // campaign executor: one supervised run over the 540 Quick-grid
+    // units with every cell already held by the runner (preloaded, as a
+    // resume does) and the journal on a temporary file -- the pool, the
+    // hand-out and the batched journal, with no measurement in it.
+    {
+        let harness = Arc::new(Harness::quick());
+        let units = grid_units(&configs::all_study_configs(), harness.workloads());
+        let held = Summary::from_parts(1, 1.0, 0.0, 1.0, 1.0);
+        for unit in &units {
+            let measurement = RunMeasurement {
+                workload: unit.workload.name(),
+                group: unit.workload.group(),
+                config: unit.config.label(),
+                time: held,
+                power: held,
+            };
+            harness.runner().preload(
+                &unit.config,
+                unit.workload,
+                measurement,
+                MeasureHealth::default(),
+            );
+        }
+        let path =
+            std::env::temp_dir().join(format!("lhr-perf-campaign-{}.jsonl", std::process::id()));
+        layers.push(time_layer(
+            "campaign/cached_quick_grid",
+            "campaign",
+            cfg,
+            || {
+                let journal = JournalSink(
+                    JournalWriter::fresh(&path, "Quick", 45, 12).expect("temporary journal"),
+                );
+                let report = Supervisor::new(Arc::clone(&harness)).run(
+                    &units,
+                    &journal,
+                    &AbortHandle::new(),
+                );
+                assert_eq!(report.completed, units.len(), "every held cell completes");
+            },
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
     BenchReport {
         label: label.to_owned(),
         cells_per_sec,
         ns_per_interval: interval,
         layers,
+    }
+}
+
+/// A campaign sink that journals each batch the supervisor hands it,
+/// as the offline driver's sink does.
+struct JournalSink(JournalWriter);
+
+impl CampaignSink for JournalSink {
+    fn unit_resolved(&self, unit: &UnitReport) {
+        self.units_resolved(std::slice::from_ref(unit));
+    }
+
+    fn units_resolved(&self, units: &[UnitReport]) {
+        self.0
+            .record_units(units)
+            .expect("the temporary journal takes the batch");
     }
 }
 
@@ -1034,7 +1100,8 @@ mod tests {
                 "adc_sensor",
                 "cell_e2e",
                 "serve_cache_hit",
-                "obs"
+                "obs",
+                "campaign"
             ]
         );
         assert!(report.cells_per_sec > 0.0);

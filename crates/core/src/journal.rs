@@ -1,5 +1,6 @@
 //! The campaign write-ahead journal: every resolved cell of a campaign,
-//! one sealed line each, fsynced before the write returns.
+//! one sealed line each, synced with its batch before the sink reports
+//! it.
 //!
 //! # Why a journal
 //!
@@ -9,9 +10,17 @@
 //! the only acceptable cost of an interruption is the cells not yet
 //! measured. Both campaign engines (the offline driver in `lhr-bench`
 //! and the server's orchestrator) append every resolved
-//! `(configuration, workload)` cell here the moment it resolves, and a
-//! resume replays the journal into the runner's measurement cache
+//! `(configuration, workload)` cell here as it resolves, and a resume
+//! replays the journal into the runner's measurement cache
 //! ([`OkCell::preload`]) so only the missing cells re-execute.
+//!
+//! The offline driver journals each batch the
+//! [`Supervisor`](crate::Supervisor) hands its sink -- the units that
+//! resolved while the previous batch was being written -- with one write
+//! and one `sync_data` ([`JournalWriter::record_units`]), before it
+//! reports them or counts them toward `--abort-after`. A crash loses at
+//! most the batch being written, and resume measures it again. The
+//! server's orchestrator still writes and syncs each line on its own.
 //!
 //! Because measurements are pure functions of their cell under the
 //! fixed seed policy, and the journal stores every `f64` in Rust's
@@ -46,6 +55,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use lhr_obs::sealed::{fnv64, json_array, json_str, json_u64, open_line, read_lines, seal_line};
@@ -89,11 +99,14 @@ fn parse_summary(body: &str, key: &str) -> Option<Summary> {
 // Journal writer
 // ---------------------------------------------------------------------
 
-/// Append-only, fsync-per-line journal writer: once a line's write
-/// returns, the record survives a crash (the definition of write-ahead).
+/// Append-only journal writer. Each call writes its lines with one
+/// write and syncs them with one `sync_data` before it returns: once a
+/// call returns, its records survive a crash (the definition of
+/// write-ahead).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: Mutex<fs::File>,
+    syncs: AtomicU64,
 }
 
 impl JournalWriter {
@@ -136,6 +149,7 @@ impl JournalWriter {
         }
         Ok(Self {
             file: Mutex::new(file),
+            syncs: AtomicU64::new(0),
         })
     }
 
@@ -153,11 +167,12 @@ impl JournalWriter {
         let file = fs::File::create(path)?;
         Ok(Self {
             file: Mutex::new(file),
+            syncs: AtomicU64::new(0),
         })
     }
 
     /// Seals and appends an arbitrary record body (everything up to but
-    /// excluding `,"crc":...}`), fsyncing before returning. The body
+    /// excluding `,"crc":...}`), syncing before returning. The body
     /// must open with `{` and omit the closing brace; the seal adds the
     /// checksum field and closes the object.
     ///
@@ -165,52 +180,38 @@ impl JournalWriter {
     ///
     /// Any I/O error appending the record.
     pub fn record_raw(&self, body: String) -> io::Result<()> {
-        let line = seal_line(body);
-        let mut file = self.file.lock().expect("journal lock");
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_data()
+        let mut line = seal_line(body);
+        line.push('\n');
+        self.write_synced(&line)
     }
 
-    /// Journals one resolved campaign unit. Skipped units (abort) are
-    /// deliberately not recorded -- they are the cells resume re-runs.
+    /// Journals one resolved campaign unit: [`JournalWriter::record_units`]
+    /// with a batch of one.
     ///
     /// # Errors
     ///
     /// Any I/O error appending the record.
     pub fn record_unit(&self, unit: &UnitReport) -> io::Result<()> {
-        let mut body = String::from("{\"cell\":");
-        push_json_string(&mut body, &unit.config_label);
-        body.push_str(",\"workload\":");
-        push_json_string(&mut body, unit.workload);
-        match &unit.outcome {
-            UnitOutcome::Completed { evaluation, health } => {
-                let _ = write!(
-                    body,
-                    ",\"status\":\"ok\",\"attempts\":{},\"deadline_misses\":{},\
-                     \"retries\":{},\"recalibrations\":{},\"rejected_outliers\":{}",
-                    unit.attempts,
-                    unit.deadline_misses,
-                    health.retries,
-                    health.recalibrations,
-                    health.rejected_outliers,
-                );
-                body.push_str(",\"time\":");
-                push_summary(&mut body, &evaluation.measurement.time);
-                body.push_str(",\"power\":");
-                push_summary(&mut body, &evaluation.measurement.power);
-            }
-            UnitOutcome::Failed { error } => {
-                let _ = write!(
-                    body,
-                    ",\"status\":\"err\",\"attempts\":{},\"deadline_misses\":{},\"error\":",
-                    unit.attempts, unit.deadline_misses,
-                );
-                push_json_string(&mut body, &error.to_string());
-            }
-            UnitOutcome::Skipped => return Ok(()),
+        self.record_units(std::slice::from_ref(unit))
+    }
+
+    /// Journals a batch of resolved campaign units, one line each, with
+    /// one write and one sync. Skipped units (abort) are deliberately not
+    /// recorded -- they are the cells resume re-runs.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error appending the records.
+    pub fn record_units(&self, units: &[UnitReport]) -> io::Result<()> {
+        let mut text = String::new();
+        for body in units.iter().filter_map(unit_body) {
+            text.push_str(&seal_line(body));
+            text.push('\n');
         }
-        self.record_raw(body)
+        if text.is_empty() {
+            return Ok(());
+        }
+        self.write_synced(&text)
     }
 
     /// Journals an artifact's name, size, and content checksum.
@@ -229,6 +230,58 @@ impl JournalWriter {
         );
         self.record_raw(body)
     }
+
+    /// The `sync_data` calls this writer has made: one per call that
+    /// wrote anything.
+    #[must_use]
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Appends `text` (whole lines) with one write and one sync.
+    fn write_synced(&self, text: &str) -> io::Result<()> {
+        let mut file = self.file.lock().expect("journal lock");
+        file.write_all(text.as_bytes())?;
+        file.sync_data()?;
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// The record body of one resolved unit; `None` for a skipped one.
+fn unit_body(unit: &UnitReport) -> Option<String> {
+    let mut body = String::from("{\"cell\":");
+    push_json_string(&mut body, &unit.config_label);
+    body.push_str(",\"workload\":");
+    push_json_string(&mut body, unit.workload);
+    match &unit.outcome {
+        UnitOutcome::Completed { evaluation, health } => {
+            let _ = write!(
+                body,
+                ",\"status\":\"ok\",\"attempts\":{},\"deadline_misses\":{},\
+                 \"retries\":{},\"recalibrations\":{},\"rejected_outliers\":{}",
+                unit.attempts,
+                unit.deadline_misses,
+                health.retries,
+                health.recalibrations,
+                health.rejected_outliers,
+            );
+            body.push_str(",\"time\":");
+            push_summary(&mut body, &evaluation.measurement.time);
+            body.push_str(",\"power\":");
+            push_summary(&mut body, &evaluation.measurement.power);
+        }
+        UnitOutcome::Failed { error } => {
+            let _ = write!(
+                body,
+                ",\"status\":\"err\",\"attempts\":{},\"deadline_misses\":{},\"error\":",
+                unit.attempts, unit.deadline_misses,
+            );
+            push_json_string(&mut body, &error.to_string());
+        }
+        UnitOutcome::Skipped => return None,
+    }
+    Some(body)
 }
 
 // ---------------------------------------------------------------------
@@ -456,6 +509,27 @@ mod tests {
             cell.time.mean().to_bits(),
             evaluation.measurement.time.mean().to_bits()
         );
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_batch_is_one_write_and_one_sync() {
+        let path = scratch("batch.jsonl");
+        let writer = JournalWriter::fresh(&path, "Quick", 45, 12).unwrap();
+        assert_eq!(writer.syncs(), 1, "the header");
+        let skipped = UnitReport {
+            outcome: UnitOutcome::Skipped,
+            ..sample_unit(false)
+        };
+        let batch = [sample_unit(true), skipped.clone(), sample_unit(false)];
+        writer.record_units(&batch).unwrap();
+        assert_eq!(writer.syncs(), 2, "one sync for the whole batch");
+        writer.record_units(&[skipped]).unwrap();
+        assert_eq!(writer.syncs(), 2, "nothing to write, nothing synced");
+
+        let journal = load_journal(&path).unwrap();
+        assert_eq!((journal.ok_cells.len(), journal.err_cells), (1, 1));
+        assert_eq!(journal.skipped_lines, 0);
         fs::remove_file(&path).ok();
     }
 

@@ -37,7 +37,7 @@ use lhr_workloads::{Group, Workload};
 
 use crate::cache::{CellCache, CellKey, UnboundedCache};
 use crate::error::{MeasureError, MeasureErrorKind, MeasureHealth, RunnerHealth};
-use crate::harness::fan_out;
+use crate::harness::{fan_out, hand_out_order};
 
 /// Default number of extra invocations a measurement may spend on
 /// retries before giving up.
@@ -397,7 +397,8 @@ impl Runner {
     }
 
     /// Measures many cells on up to `jobs` workers (`None`: available
-    /// parallelism), returning each cell's outcome in input order.
+    /// parallelism), returning each cell's outcome in input order. The
+    /// workers take the cells in [`Runner::hand_out_units`] order.
     ///
     /// A machine with an armed fault plan has all its cells measured by
     /// one worker, in input order, up to its first failure: its
@@ -410,21 +411,7 @@ impl Runner {
         jobs: Option<usize>,
         cells: &[(&ChipConfig, &Workload)],
     ) -> Vec<Option<Result<RunMeasurement, MeasureError>>> {
-        // A unit is one cell, or every cell of a faulted machine.
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        let mut chains: HashMap<ProcessorId, usize> = HashMap::new();
-        for (i, (config, _)) in cells.iter().enumerate() {
-            let id = config.spec().id;
-            if !self.fault_plans.contains_key(&id) {
-                units.push(vec![i]);
-                continue;
-            }
-            let unit = *chains.entry(id).or_insert_with(|| {
-                units.push(Vec::new());
-                units.len() - 1
-            });
-            units[unit].push(i);
-        }
+        let units = self.hand_out_units(cells);
         let outcomes = fan_out(jobs, &self.obs, units.len(), |u| {
             let mut measured = Vec::with_capacity(units[u].len());
             for &i in &units[u] {
@@ -445,6 +432,32 @@ impl Runner {
             }
         }
         results
+    }
+
+    /// The units [`Runner::try_measure_cells`] hands its workers, as
+    /// indices into `cells`: one per cell, or every cell of a faulted
+    /// machine in input order. The units come in [`hand_out_order`] of
+    /// their first cell's workload; a faulted machine's chain keeps its
+    /// own order.
+    pub(crate) fn hand_out_units(&self, cells: &[(&ChipConfig, &Workload)]) -> Vec<Vec<usize>> {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut chains: HashMap<ProcessorId, usize> = HashMap::new();
+        for (i, (config, _)) in cells.iter().enumerate() {
+            let id = config.spec().id;
+            if !self.fault_plans.contains_key(&id) {
+                units.push(vec![i]);
+                continue;
+            }
+            let unit = *chains.entry(id).or_insert_with(|| {
+                units.push(Vec::new());
+                units.len() - 1
+            });
+            units[unit].push(i);
+        }
+        hand_out_order(units.iter().map(|unit| cells[unit[0]].1.name()))
+            .into_iter()
+            .map(|u| std::mem::take(&mut units[u]))
+            .collect()
     }
 
     /// Pre-seeds the measurement cache with a previously recorded result

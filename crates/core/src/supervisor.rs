@@ -14,16 +14,26 @@
 //! # Architecture
 //!
 //! A [`Supervisor`] drives a list of `(configuration, workload)` units
-//! through [`Harness::try_evaluate_workload`] on detached worker
-//! threads, multiplexing completions over a channel:
+//! through [`Harness::try_evaluate_workload`] on a fixed pool of `jobs`
+//! detached worker threads. The workers pull units from one shared
+//! queue and send completions home over a channel; the scheduling
+//! thread keeps deadlines, retries and the sink off their path:
 //!
+//! * **Hand-out order.** The queue hands out each workload's first unit
+//!   before any repeat of it, and otherwise the input order (the order
+//!   [`Harness::measure_all`] hands out cells in too), so two workers
+//!   rarely start the same workload at once and wait on each other's
+//!   memo flights. A unit due for a retry goes back in at its own place,
+//!   ahead of every unit not yet started.
 //! * **Watchdog deadlines.** Each unit gets a soft deadline scaled from
 //!   the runner's prescribed invocation count (a 20-invocation Java cell
-//!   earns more wall-clock than a 3-invocation SPEC cell). A worker that
-//!   misses its deadline is *abandoned, never aborted*: the supervisor
-//!   stops waiting, but if the straggler finishes later its result is
-//!   still accepted ("stale-result acceptance") -- measurements are
-//!   deterministic, so a late answer is exactly as good as a prompt one.
+//!   earns more wall-clock than a 3-invocation SPEC cell), counted from
+//!   the moment a worker starts it. A worker that misses its deadline is
+//!   *retired, never aborted*: a fresh worker takes its place in the
+//!   pool, the supervisor stops waiting, but if the straggler finishes
+//!   later its result is still accepted ("stale-result acceptance") --
+//!   measurements are deterministic, so a late answer is exactly as good
+//!   as a prompt one. The straggler then exits.
 //! * **Backoff retry.** Transient failures (deadline misses, contained
 //!   worker panics) earn a re-run after a bounded, exponentially growing
 //!   delay with deterministic seeded jitter ([`RetryPolicy`]).
@@ -34,32 +44,38 @@
 //! * **Degradation, not abortion.** A unit that exhausts its attempts is
 //!   recorded as failed in its [`UnitReport`] and the campaign
 //!   continues; nothing panics, nothing exits.
-//! * **Checkpoint sink.** Every resolved unit is offered to a
-//!   [`CampaignSink`] in resolution order -- the hook a write-ahead
-//!   journal attaches to.
+//! * **Batched checkpoints.** Resolved units are offered to a
+//!   [`CampaignSink`] in resolution order, in batches: the scheduling
+//!   thread takes every completion waiting in its channel and hands the
+//!   units they resolve over in one call
+//!   ([`CampaignSink::units_resolved`]), so a write-ahead journal writes
+//!   and syncs once per batch while the workers run on. No window is
+//!   configured: a batch is whatever finished while the previous one was
+//!   being written.
 //! * **Cooperative abort.** An [`AbortHandle`] stops the campaign at the
 //!   next scheduling point, marking unfinished units
 //!   [`UnitOutcome::Skipped`]. Combined with a journal, this is the
-//!   crash half of a kill-and-resume test.
+//!   crash half of a kill-and-resume test. A sink that aborts partway
+//!   through a batch has still been offered the whole batch.
 //!
 //! Everything here is off the measurement path: a harness driven by a
 //! supervisor produces bit-for-bit the numbers it would produce alone,
 //! because thread count, deadlines, and retries only decide *when* a
 //! deterministic measurement runs, never what it returns.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use lhr_obs::Obs;
 use lhr_trace::{Rng64, SplitMix64};
 use lhr_uarch::ChipConfig;
 use lhr_workloads::Workload;
 
 use crate::error::{MeasureError, MeasureErrorKind, MeasureHealth};
-use crate::harness::{panic_message, CellHealth, Evaluation, Harness, SweepHealth};
+use crate::harness::{hand_out_order, panic_message, CellHealth, Evaluation, Harness, SweepHealth};
 
 /// Bounded exponential backoff with deterministic seeded jitter.
 ///
@@ -180,12 +196,22 @@ impl UnitReport {
     }
 }
 
-/// A checkpoint consumer: called for every resolved unit, in resolution
+/// A checkpoint consumer: offered every resolved unit, in resolution
 /// order, from the supervisor's scheduling thread. This is where a
 /// write-ahead journal hooks in.
 pub trait CampaignSink: Send + Sync {
     /// Consumes one resolved unit.
     fn unit_resolved(&self, unit: &UnitReport);
+
+    /// Consumes the units resolved since the last call, in resolution
+    /// order: what the supervisor calls. The default offers each to
+    /// [`CampaignSink::unit_resolved`]; a journal overrides it to write
+    /// and sync the batch once.
+    fn units_resolved(&self, units: &[UnitReport]) {
+        for unit in units {
+            self.unit_resolved(unit);
+        }
+    }
 }
 
 /// The do-nothing sink.
@@ -287,21 +313,130 @@ impl CampaignReport {
     }
 }
 
-/// What one worker thread sends home.
+/// What one worker sends home: the outcome of one attempt at a unit.
 struct Completion {
     unit: usize,
-    token: u64,
+    attempt: u32,
     outcome: Result<(Evaluation, MeasureHealth), MeasureError>,
+}
+
+/// One attempt at a unit, queued for the pool.
+#[derive(Clone, Copy)]
+struct Dispatch {
+    unit: usize,
+    attempt: u32,
 }
 
 /// Scheduling state of one unit.
 enum Slot {
-    /// Waiting to (re)start once `ready_at` passes.
-    Waiting { ready_at: Instant },
-    /// A worker is (or was, if abandoned elsewhere) running.
-    Running { token: u64, deadline: Option<Instant> },
+    /// Waiting for its backoff to pass before it is queued again.
+    Backoff { ready_at: Instant },
+    /// Queued, or running on a worker, as attempt `attempt`.
+    Dispatched { attempt: u32 },
     /// Resolved for good.
     Done,
+}
+
+/// The units queued for the pool, keyed by hand-out rank: a worker
+/// always takes the earliest-ranked one.
+struct Queue {
+    pending: BTreeMap<usize, Dispatch>,
+    closed: bool,
+}
+
+/// What the scheduling thread shares with its workers. The unit list is
+/// shared once, not copied per worker.
+struct Pool {
+    harness: Arc<Harness>,
+    units: Arc<[CampaignUnit]>,
+    queue: Mutex<Queue>,
+    wake: Condvar,
+}
+
+/// One pool worker as the scheduling thread sees it.
+#[derive(Default)]
+struct Worker(Mutex<WorkerState>);
+
+#[derive(Default)]
+struct WorkerState {
+    /// The attempt the worker is running, and when it started it.
+    running: Option<(Dispatch, Instant)>,
+    /// Set once the worker missed a deadline: a fresh worker holds its
+    /// place, so it exits when its attempt returns.
+    retired: bool,
+}
+
+impl Worker {
+    fn state(&self) -> std::sync::MutexGuard<'_, WorkerState> {
+        self.0
+            .lock()
+            .expect("no campaign thread panics holding a worker lock")
+    }
+}
+
+impl Pool {
+    fn queue(&self) -> std::sync::MutexGuard<'_, Queue> {
+        self.queue
+            .lock()
+            .expect("no campaign thread panics holding the queue lock")
+    }
+
+    /// The next dispatch to run, waiting for one; `None` once the
+    /// campaign is over.
+    fn next(&self) -> Option<Dispatch> {
+        let mut queue = self.queue();
+        loop {
+            if queue.closed {
+                return None;
+            }
+            if let Some((_, dispatch)) = queue.pending.pop_first() {
+                return Some(dispatch);
+            }
+            queue = self
+                .wake
+                .wait(queue)
+                .expect("no campaign thread panics holding the queue lock");
+        }
+    }
+
+    /// A worker's life: run dispatches until the queue closes or the
+    /// worker is retired. A panicking unit is contained and reported as
+    /// its outcome.
+    fn work(&self, me: &Worker, done: &mpsc::Sender<Completion>) {
+        let obs = self.harness.runner().observer();
+        while let Some(dispatch) = self.next() {
+            if dispatch.attempt > 1 {
+                obs.counter("campaign.retries", 1);
+            }
+            me.state().running = Some((dispatch, Instant::now()));
+            let CampaignUnit { config, workload } = &self.units[dispatch.unit];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.harness.try_evaluate_workload(config, workload)
+            }))
+            .unwrap_or_else(|panic| {
+                Err(MeasureError {
+                    workload: Some(workload.name()),
+                    config: config.label(),
+                    kind: MeasureErrorKind::WorkerPanic(panic_message(&panic)),
+                })
+            });
+            let retired = {
+                let mut state = me.state();
+                state.running = None;
+                state.retired
+            };
+            // The receiver is gone once the campaign returns; a failed
+            // send is a result nobody wants.
+            let _ = done.send(Completion {
+                unit: dispatch.unit,
+                attempt: dispatch.attempt,
+                outcome,
+            });
+            if retired {
+                return;
+            }
+        }
+    }
 }
 
 /// Upper bound on one channel wait, so external aborts are noticed
@@ -363,7 +498,7 @@ impl Supervisor {
         self
     }
 
-    /// Caps concurrent worker threads.
+    /// Sets the number of pool workers: the units running at once.
     ///
     /// # Panics
     ///
@@ -396,6 +531,10 @@ impl Supervisor {
     /// `sink` in resolution order. Never panics on a unit failure; see
     /// the module docs for the scheduling rules.
     ///
+    /// Returns once every unit has resolved or the campaign is aborted,
+    /// without waiting for busy workers: an idle worker exits then, a
+    /// busy one when its attempt returns.
+    ///
     /// # Panics
     ///
     /// Panics only if the OS refuses to spawn a worker thread.
@@ -415,182 +554,176 @@ impl Supervisor {
 
         let n = units.len();
         let started = Instant::now();
-        let now = Instant::now();
-        let mut slots: Vec<Slot> = (0..n).map(|_| Slot::Waiting { ready_at: now }).collect();
-        let mut attempts = vec![0u32; n];
+        let mut rank = vec![0; n];
+        let order = hand_out_order(units.iter().map(|u| u.workload.name()));
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+        }
+        let pool = Arc::new(Pool {
+            harness: Arc::clone(&self.harness),
+            units: units.into(),
+            queue: Mutex::new(Queue {
+                pending: (0..n).map(|unit| (rank[unit], Dispatch { unit, attempt: 1 })).collect(),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        });
+        let mut slots: Vec<Slot> = (0..n).map(|_| Slot::Dispatched { attempt: 1 }).collect();
+        let mut attempts = vec![1u32; n];
         let mut misses = vec![0u32; n];
         let mut outcomes: Vec<Option<UnitOutcome>> = (0..n).map(|_| None).collect();
-        // `token_unit` routes every completion, including a straggler's;
-        // `active` holds only the tokens currently counted in `running`
-        // (a token leaves it when its worker is abandoned or reports in,
-        // whichever happens first).
-        let mut token_unit: HashMap<u64, usize> = HashMap::new();
-        let mut active: HashSet<u64> = HashSet::new();
-        let mut next_token: u64 = 0;
-        let mut running = 0usize;
+        // Units waiting out a backoff, and units resolved but not yet
+        // offered to the sink.
+        let mut backoff: Vec<usize> = Vec::new();
+        let mut batch: Vec<usize> = Vec::new();
         let mut resolved = 0usize;
         let (tx, rx) = mpsc::channel::<Completion>();
+        let mut workers: Vec<Arc<Worker>> =
+            (0..self.jobs.min(n)).map(|k| spawn_worker(&pool, &tx, k)).collect();
+        let mut spawned = workers.len();
 
         while resolved < n && !abort.is_aborted() {
             let now = Instant::now();
-            // Expire deadlines: abandon the worker, count the miss, and
-            // either schedule a backoff-spaced retry or finalize.
-            for i in 0..n {
-                let Slot::Running {
-                    token,
-                    deadline: Some(d),
-                } = &slots[i]
-                else {
-                    continue;
-                };
-                let (token, d) = (*token, *d);
-                if d > now {
-                    continue;
-                }
-                if active.remove(&token) {
-                    running -= 1;
-                }
-                misses[i] += 1;
-                obs.counter("campaign.deadline_misses", 1);
-                if obs.enabled() {
-                    obs.mark("campaign.deadline_miss", &units[i].key());
-                }
-                if attempts[i] < self.policy.max_attempts {
-                    let delay = self.policy.delay_s(&units[i].key(), attempts[i]);
-                    slots[i] = Slot::Waiting {
-                        ready_at: now + Duration::from_secs_f64(delay),
+            let mut next_event: Option<Instant> = None;
+            // Expire deadlines: retire the worker, start a fresh one in
+            // its place, count the miss, and either schedule a
+            // backoff-spaced retry or finalize.
+            if self.max_cell_seconds.is_some() {
+                for worker in &mut workers {
+                    let mut state = worker.state();
+                    let Some((dispatch, start)) = state.running else {
+                        continue;
                     };
-                } else {
-                    let deadline_s = self
-                        .deadline_for(units[i].workload)
-                        .map_or(0.0, |d| d.as_secs_f64());
-                    let outcome = UnitOutcome::Failed {
-                        error: MeasureError {
-                            workload: Some(units[i].workload.name()),
-                            config: units[i].config.label(),
-                            kind: MeasureErrorKind::DeadlineExceeded { deadline_s },
-                        },
-                    };
-                    Self::resolve(i, outcome, &mut slots, &mut outcomes, &mut resolved);
-                    self.note_progress(&obs, units, &attempts, &misses, &outcomes, i, sink, started, resolved, n);
-                }
-            }
-            // Start ready units while worker slots are free.
-            while running < self.jobs {
-                let now = Instant::now();
-                let Some(i) = slots.iter().position(
-                    |s| matches!(s, Slot::Waiting { ready_at } if *ready_at <= now),
-                ) else {
-                    break;
-                };
-                attempts[i] += 1;
-                if attempts[i] > 1 {
-                    obs.counter("campaign.retries", 1);
-                }
-                let token = next_token;
-                next_token += 1;
-                token_unit.insert(token, i);
-                active.insert(token);
-                slots[i] = Slot::Running {
-                    token,
-                    deadline: self.deadline_for(units[i].workload).map(|d| now + d),
-                };
-                running += 1;
-                let harness = Arc::clone(&self.harness);
-                let config = units[i].config.clone();
-                let workload = units[i].workload;
-                let tx = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("campaign-{i}"))
-                    .spawn(move || {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            harness.try_evaluate_workload(&config, workload)
-                        }))
-                        .unwrap_or_else(|panic| {
-                            Err(MeasureError {
-                                workload: Some(workload.name()),
-                                config: config.label(),
-                                kind: MeasureErrorKind::WorkerPanic(panic_message(&panic)),
-                            })
-                        });
-                        // The receiver may be gone after an abort; a
-                        // failed send is a result nobody wants.
-                        let _ = tx.send(Completion {
-                            unit: i,
-                            token,
-                            outcome,
-                        });
-                    })
-                    .expect("spawn campaign worker");
-            }
-            // Sleep until the next deadline, the next backoff expiry, or
-            // the next completion -- whichever comes first.
-            let now = Instant::now();
-            let next_event = slots
-                .iter()
-                .filter_map(|s| match s {
-                    Slot::Waiting { ready_at } => Some(*ready_at),
-                    Slot::Running {
-                        deadline: Some(d), ..
-                    } => Some(*d),
-                    _ => None,
-                })
-                .min();
-            let wait = match next_event {
-                Some(t) => {
-                    let until = t.saturating_duration_since(now);
-                    if until.is_zero() {
-                        // A unit is ready but every worker slot is busy:
-                        // only a completion can free one, so wait for it.
-                        MAX_WAIT
-                    } else {
-                        until.min(MAX_WAIT)
-                    }
-                }
-                None => MAX_WAIT,
-            };
-            let Ok(done) = rx.recv_timeout(wait) else {
-                continue; // timeout: re-check deadlines and ready queues
-            };
-            // Route the completion to its unit -- current or abandoned.
-            let Some(i) = token_unit.remove(&done.token) else {
-                continue;
-            };
-            debug_assert_eq!(i, done.unit);
-            if active.remove(&done.token) {
-                running -= 1;
-            }
-            if matches!(slots[i], Slot::Done) {
-                continue; // straggler reporting after resolution
-            }
-            let current =
-                matches!(&slots[i], Slot::Running { token, .. } if *token == done.token);
-            let outcome = match done.outcome {
-                // A success is conclusive whether it came from the
-                // current worker or an abandoned straggler: the
-                // measurement is deterministic, so late data is still
-                // the data.
-                Ok((evaluation, health)) => UnitOutcome::Completed { evaluation, health },
-                Err(_) if !current => {
-                    // A stale failure: the unit is already on its
-                    // recovery path (backoff wait or a fresh worker).
-                    continue;
-                }
-                Err(error) => {
-                    if error.kind.is_transient() && attempts[i] < self.policy.max_attempts {
-                        let delay = self.policy.delay_s(&units[i].key(), attempts[i]);
-                        slots[i] = Slot::Waiting {
-                            ready_at: Instant::now() + Duration::from_secs_f64(delay),
-                        };
+                    let due = start
+                        + self.deadline_for(units[dispatch.unit].workload).expect("deadlines are armed");
+                    if due > now {
+                        next_event = earliest(next_event, due);
                         continue;
                     }
-                    UnitOutcome::Failed { error }
+                    state.retired = true;
+                    drop(state);
+                    *worker = spawn_worker(&pool, &tx, spawned);
+                    spawned += 1;
+                    let i = dispatch.unit;
+                    if !matches!(slots[i], Slot::Dispatched { attempt } if attempt == dispatch.attempt)
+                    {
+                        continue; // a straggler already resolved the unit
+                    }
+                    misses[i] += 1;
+                    obs.counter("campaign.deadline_misses", 1);
+                    if obs.enabled() {
+                        obs.mark("campaign.deadline_miss", &units[i].key());
+                    }
+                    if attempts[i] < self.policy.max_attempts {
+                        slots[i] = self.backoff(&units[i], attempts[i]);
+                        backoff.push(i);
+                    } else {
+                        let deadline_s = self
+                            .deadline_for(units[i].workload)
+                            .map_or(0.0, |d| d.as_secs_f64());
+                        slots[i] = Slot::Done;
+                        outcomes[i] = Some(UnitOutcome::Failed {
+                            error: MeasureError {
+                                workload: Some(units[i].workload.name()),
+                                config: units[i].config.label(),
+                                kind: MeasureErrorKind::DeadlineExceeded { deadline_s },
+                            },
+                        });
+                        resolved += 1;
+                        batch.push(i);
+                    }
                 }
-            };
-            Self::resolve(i, outcome, &mut slots, &mut outcomes, &mut resolved);
-            self.note_progress(&obs, units, &attempts, &misses, &outcomes, i, sink, started, resolved, n);
+            }
+            // Queue the units whose backoff has passed.
+            let mut ready = Vec::new();
+            backoff.retain(|&i| match slots[i] {
+                Slot::Backoff { ready_at } if ready_at > now => {
+                    next_event = earliest(next_event, ready_at);
+                    true
+                }
+                Slot::Backoff { .. } => {
+                    ready.push(i);
+                    false
+                }
+                // A straggler resolved it while it waited.
+                _ => false,
+            });
+            if !ready.is_empty() {
+                let mut queue = pool.queue();
+                for i in ready {
+                    attempts[i] += 1;
+                    let attempt = attempts[i];
+                    slots[i] = Slot::Dispatched { attempt };
+                    queue.pending.insert(rank[i], Dispatch { unit: i, attempt });
+                }
+                drop(queue);
+                pool.wake.notify_all();
+            }
+            // Unless units already wait to be reported, sleep until the
+            // next deadline, the next backoff expiry, or the next
+            // completion -- whichever comes first. Then take every
+            // completion waiting.
+            let mut completions = Vec::new();
+            if batch.is_empty() {
+                let wait = next_event.map_or(MAX_WAIT, |t| {
+                    t.saturating_duration_since(Instant::now()).min(MAX_WAIT)
+                });
+                completions.extend(rx.recv_timeout(wait).ok());
+            }
+            completions.extend(rx.try_iter());
+            for done in completions {
+                let i = done.unit;
+                if matches!(slots[i], Slot::Done) {
+                    continue; // a straggler reporting after resolution
+                }
+                let current =
+                    matches!(slots[i], Slot::Dispatched { attempt } if attempt == done.attempt);
+                let outcome = match done.outcome {
+                    // A success is conclusive whether it came from the
+                    // current worker or a retired straggler: the
+                    // measurement is deterministic, so late data is
+                    // still the data.
+                    Ok((evaluation, health)) => UnitOutcome::Completed { evaluation, health },
+                    // A stale failure: the unit is already on its
+                    // recovery path (backoff wait or a fresh attempt).
+                    Err(_) if !current => continue,
+                    Err(error)
+                        if error.kind.is_transient() && attempts[i] < self.policy.max_attempts =>
+                    {
+                        slots[i] = self.backoff(&units[i], attempts[i]);
+                        backoff.push(i);
+                        continue;
+                    }
+                    Err(error) => UnitOutcome::Failed { error },
+                };
+                slots[i] = Slot::Done;
+                outcomes[i] = Some(outcome);
+                resolved += 1;
+                batch.push(i);
+            }
+            if !batch.is_empty() {
+                let reports: Vec<UnitReport> = batch
+                    .drain(..)
+                    .map(|i| {
+                        let outcome = outcomes[i].clone().expect("resolved before reporting");
+                        unit_report(&units[i], attempts[i], misses[i], outcome)
+                    })
+                    .collect();
+                sink.units_resolved(&reports);
+                note_progress(&obs, &reports, started, resolved, n);
+            }
         }
         span.end();
+        // End the pool. Attempts still queued never started.
+        let unstarted = {
+            let mut queue = pool.queue();
+            queue.closed = true;
+            std::mem::take(&mut queue.pending)
+        };
+        pool.wake.notify_all();
+        for dispatch in unstarted.into_values() {
+            attempts[dispatch.unit] -= 1;
+        }
 
         let aborted = resolved < n;
         let mut completed = 0;
@@ -606,13 +739,7 @@ impl Supervisor {
                     UnitOutcome::Failed { .. } => failed += 1,
                     UnitOutcome::Skipped => skipped += 1,
                 }
-                UnitReport {
-                    config_label: u.config.label(),
-                    workload: u.workload.name(),
-                    attempts: attempts[i],
-                    deadline_misses: misses[i],
-                    outcome,
-                }
+                unit_report(u, attempts[i], misses[i], outcome)
             })
             .collect();
         CampaignReport {
@@ -629,55 +756,70 @@ impl Supervisor {
         }
     }
 
-    /// Finalizes unit `i` with `outcome`.
-    fn resolve(
-        i: usize,
-        outcome: UnitOutcome,
-        slots: &mut [Slot],
-        outcomes: &mut [Option<UnitOutcome>],
-        resolved: &mut usize,
-    ) {
-        slots[i] = Slot::Done;
-        outcomes[i] = Some(outcome);
-        *resolved += 1;
+    /// The slot of a unit that failed transiently after `attempts`
+    /// attempts: due again after its seeded backoff delay.
+    fn backoff(&self, unit: &CampaignUnit, attempts: u32) -> Slot {
+        let delay = self.policy.delay_s(&unit.key(), attempts);
+        Slot::Backoff {
+            ready_at: Instant::now() + Duration::from_secs_f64(delay),
+        }
     }
+}
 
-    /// Reports unit `i`'s resolution to the sink and the observer's
-    /// progress gauges.
-    #[allow(clippy::too_many_arguments)]
-    fn note_progress(
-        &self,
-        obs: &lhr_obs::Obs,
-        units: &[CampaignUnit],
-        attempts: &[u32],
-        misses: &[u32],
-        outcomes: &[Option<UnitOutcome>],
-        i: usize,
-        sink: &dyn CampaignSink,
-        started: Instant,
-        resolved: usize,
-        total: usize,
-    ) {
-        let report = UnitReport {
-            config_label: units[i].config.label(),
-            workload: units[i].workload.name(),
-            attempts: attempts[i],
-            deadline_misses: misses[i],
-            outcome: outcomes[i].clone().expect("resolved before reporting"),
-        };
-        sink.unit_resolved(&report);
-        if obs.enabled() {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                obs.gauge("campaign.units_done", resolved as f64);
-                obs.gauge("campaign.units_remaining", (total - resolved) as f64);
-                let eta = started.elapsed().as_secs_f64() / resolved as f64
-                    * (total - resolved) as f64;
-                obs.gauge("campaign.eta_seconds", eta);
-            }
-            if matches!(report.outcome, UnitOutcome::Failed { .. }) {
-                obs.mark("campaign.unit_failed", &units[i].key());
-            }
+/// Starts pool worker number `index`. The thread is detached, never
+/// joined: a retired worker may be stuck for good, and [`Pool::work`]
+/// contains every unit's panic.
+fn spawn_worker(pool: &Arc<Pool>, done: &mpsc::Sender<Completion>, index: usize) -> Arc<Worker> {
+    let worker = Arc::new(Worker::default());
+    let (pool_ref, me, done) = (Arc::clone(pool), Arc::clone(&worker), done.clone());
+    std::thread::Builder::new()
+        .name(format!("campaign-worker-{index}"))
+        .spawn(move || pool_ref.work(&me, &done))
+        .expect("spawn campaign worker");
+    pool.harness
+        .runner()
+        .observer()
+        .counter("campaign.workers_spawned", 1);
+    worker
+}
+
+/// The earlier of an optional instant and `t`.
+fn earliest(current: Option<Instant>, t: Instant) -> Option<Instant> {
+    Some(current.map_or(t, |c| c.min(t)))
+}
+
+/// One unit's resolution record.
+fn unit_report(
+    unit: &CampaignUnit,
+    attempts: u32,
+    deadline_misses: u32,
+    outcome: UnitOutcome,
+) -> UnitReport {
+    UnitReport {
+        config_label: unit.config.label(),
+        workload: unit.workload.name(),
+        attempts,
+        deadline_misses,
+        outcome,
+    }
+}
+
+/// Reports a batch of resolutions to the observer's progress gauges.
+#[allow(clippy::cast_precision_loss)]
+fn note_progress(obs: &Obs, batch: &[UnitReport], started: Instant, resolved: usize, total: usize) {
+    if !obs.enabled() {
+        return;
+    }
+    obs.gauge("campaign.units_done", resolved as f64);
+    obs.gauge("campaign.units_remaining", (total - resolved) as f64);
+    let eta = started.elapsed().as_secs_f64() / resolved as f64 * (total - resolved) as f64;
+    obs.gauge("campaign.eta_seconds", eta);
+    for unit in batch {
+        if matches!(unit.outcome, UnitOutcome::Failed { .. }) {
+            obs.mark(
+                "campaign.unit_failed",
+                &format!("{} / {}", unit.config_label, unit.workload),
+            );
         }
     }
 }
@@ -701,9 +843,48 @@ pub fn grid_units(configs: &[ChipConfig], workloads: &[&'static Workload]) -> Ve
 mod tests {
     use super::*;
     use crate::runner::Runner;
+    use crate::sink::CellSink;
+    use lhr_obs::MemoryRecorder;
     use lhr_sensors::faults::{FaultPlan, Stall};
     use lhr_uarch::ProcessorId;
     use parking_lot::Mutex;
+
+    /// A cell sink that logs which thread resolved each unit.
+    #[derive(Debug, Default)]
+    struct ThreadLog {
+        /// `(config label, thread id, thread name)` per resolved unit.
+        units: std::sync::Mutex<Vec<(String, std::thread::ThreadId, String)>>,
+        arrived: Condvar,
+        /// Hold each thread's first unit until this many threads have
+        /// arrived (0: never hold).
+        hold_until: usize,
+    }
+
+    /// The distinct threads in a log.
+    fn threads(units: &[(String, std::thread::ThreadId, String)]) -> Vec<std::thread::ThreadId> {
+        let mut ids: Vec<_> = units.iter().map(|u| u.1).collect();
+        ids.sort_unstable_by_key(|id| format!("{id:?}"));
+        ids.dedup();
+        ids
+    }
+
+    impl CellSink for ThreadLog {
+        fn record_cell(&self, config: &ChipConfig, _: &[Evaluation]) {
+            let me = std::thread::current();
+            let mut units = self.units.lock().unwrap();
+            let first = !units.iter().any(|u| u.1 == me.id());
+            units.push((config.label(), me.id(), me.name().unwrap_or("").to_owned()));
+            self.arrived.notify_all();
+            if first && self.hold_until > 0 {
+                let _ = self
+                    .arrived
+                    .wait_timeout_while(units, Duration::from_secs(60), |units| {
+                        threads(units).len() < self.hold_until
+                    })
+                    .unwrap();
+            }
+        }
+    }
 
     fn quick_harness() -> Arc<Harness> {
         Arc::new(Harness::quick())
@@ -902,5 +1083,150 @@ mod tests {
             )
             .expect("clean run");
         assert_eq!(report.units[0].evaluation().expect("completed"), &expected);
+    }
+
+    #[test]
+    fn the_pool_runs_every_unit_on_exactly_jobs_workers() {
+        // Each worker's first unit waits in the sink until both workers
+        // have arrived, so both provably take units.
+        let log = Arc::new(ThreadLog {
+            hold_until: 2,
+            ..ThreadLog::default()
+        });
+        let memory = Arc::new(MemoryRecorder::default());
+        let harness = Arc::new(
+            Harness::quick()
+                .with_observer(Obs::recording(memory.clone()))
+                .with_cell_sink(log.clone()),
+        );
+        let units = small_grid(&harness);
+        let report = Supervisor::new(Arc::clone(&harness)).with_jobs(2).run(
+            &units,
+            &(),
+            &AbortHandle::new(),
+        );
+        assert_eq!(report.completed, units.len());
+        assert_eq!(log.units.lock().unwrap().len(), units.len());
+        let threads = threads(&log.units.lock().unwrap());
+        assert_eq!(threads.len(), 2, "every unit ran on one of two workers");
+        assert!(!threads.contains(&std::thread::current().id()));
+        assert_eq!(memory.snapshot().counter("campaign.workers_spawned"), 2);
+    }
+
+    #[test]
+    fn a_fresh_worker_takes_a_retired_workers_place() {
+        // One worker; the i7 comes first and its logger wedges for good,
+        // so the first worker is retired on the first i7 unit and only
+        // replacements are left to measure the Atom.
+        let plan = FaultPlan::new(3).with_stall(Stall::permanent(60.0));
+        let memory = Arc::new(MemoryRecorder::default());
+        let runner = Runner::fast()
+            .with_fault_plan(ProcessorId::CoreI7_920, plan)
+            .with_observer(Obs::recording(memory.clone()));
+        let ws: Vec<&'static Workload> = ["hmmer", "db"]
+            .iter()
+            .map(|n| lhr_workloads::by_name(n).expect("subset exists"))
+            .collect();
+        let log = Arc::new(ThreadLog::default());
+        let harness = Arc::new(
+            Harness::new(runner)
+                .with_workloads(ws)
+                .with_cell_sink(log.clone()),
+        );
+        let configs = [
+            ChipConfig::stock(ProcessorId::CoreI7_920.spec()),
+            ChipConfig::stock(ProcessorId::Atom230.spec()),
+        ];
+        let units = grid_units(&configs, harness.workloads());
+        let report = Supervisor::new(Arc::clone(&harness))
+            .with_jobs(1)
+            .with_max_cell_seconds(0.3)
+            .with_policy(RetryPolicy {
+                max_attempts: 2,
+                base_delay_s: 0.02,
+                max_delay_s: 0.1,
+                seed: 1,
+            })
+            .run(&units, &(), &AbortHandle::new());
+        assert_eq!(report.completed, 2, "the Atom units complete");
+        assert_eq!(report.failed, 2, "the wedged i7 units fail");
+        let atom: Vec<_> = log
+            .units
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|u| u.0.contains("Atom"))
+            .map(|u| u.2.clone())
+            .collect();
+        assert_eq!(atom.len(), 2);
+        for name in &atom {
+            assert!(
+                name.starts_with("campaign-worker-") && name != "campaign-worker-0",
+                "an Atom unit ran on {name:?}, not on a replacement"
+            );
+        }
+        assert!(report.deadline_misses >= 2);
+        assert_eq!(
+            memory.snapshot().counter("campaign.workers_spawned"),
+            1 + report.deadline_misses as u64,
+            "one worker, plus one per abandonment"
+        );
+    }
+
+    #[test]
+    fn work_is_handed_out_first_occurrences_first() {
+        assert_eq!(hand_out_order(["a", "a", "b", "b", "c"]), [0, 2, 4, 1, 3]);
+        assert_eq!(
+            hand_out_order(["a", "b", "c"]),
+            [0, 1, 2],
+            "otherwise input order"
+        );
+        assert_eq!(hand_out_order(["a", "b", "a", "c", "b"]), [0, 1, 3, 2, 4]);
+
+        // A faulted machine's chain keeps its own order and is handed
+        // out as its first cell is.
+        let atom = ChipConfig::stock(ProcessorId::Atom230.spec());
+        let i7 = ChipConfig::stock(ProcessorId::CoreI7_920.spec());
+        let w = |n| lhr_workloads::by_name(n).expect("catalog workload");
+        let (hmmer, db, mcf) = (w("hmmer"), w("db"), w("mcf"));
+        let plan = FaultPlan::new(5).with_stall(Stall::transient(1, 0.1));
+        let runner = Runner::fast().with_fault_plan(ProcessorId::CoreI7_920, plan);
+        let cells: [(&ChipConfig, &Workload); 5] = [
+            (&atom, hmmer),
+            (&i7, hmmer),
+            (&atom, db),
+            (&i7, db),
+            (&atom, mcf),
+        ];
+        assert_eq!(
+            runner.hand_out_units(&cells),
+            [vec![0], vec![2], vec![4], vec![1, 3]]
+        );
+
+        // One supervised worker resolves the units in hand-out order:
+        // the pair list a figure measures runs one machine at a time.
+        struct Order(Mutex<Vec<String>>);
+        impl CampaignSink for Order {
+            fn unit_resolved(&self, unit: &UnitReport) {
+                self.0
+                    .lock()
+                    .push(format!("{} / {}", unit.config_label, unit.workload));
+            }
+        }
+        let harness = Arc::new(Harness::new(Runner::fast()).with_workloads(vec![hmmer, db]));
+        let units: Vec<CampaignUnit> = [(&atom, hmmer), (&i7, hmmer), (&atom, db), (&i7, db)]
+            .into_iter()
+            .map(|(c, w)| CampaignUnit {
+                config: c.clone(),
+                workload: w,
+            })
+            .collect();
+        let order = Order(Mutex::new(Vec::new()));
+        let report = Supervisor::new(harness)
+            .with_jobs(1)
+            .run(&units, &order, &AbortHandle::new());
+        assert_eq!(report.completed, 4);
+        let keys: Vec<String> = [0, 2, 1, 3].iter().map(|&i| units[i].key()).collect();
+        assert_eq!(*order.0.lock(), keys);
     }
 }

@@ -136,6 +136,9 @@ impl Phase {
     }
 }
 
+#[cfg(test)]
+mod spec_fuzz;
+
 /// A validated campaign specification (the parsed POST parameters).
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {

@@ -189,6 +189,7 @@ type EstimateKey = [u64; 8];
 pub struct MissRateEstimator {
     memo: Mutex<EstimateMemo>,
     computed: AtomicU64,
+    waits: AtomicU64,
 }
 
 /// A [`MissRateEstimator`]'s finished estimates and those in flight.
@@ -243,6 +244,15 @@ impl MissRateEstimator {
         self.computed.load(Ordering::Relaxed)
     }
 
+    /// Lookups that found their estimate in flight on another worker and
+    /// took it from that flight instead of simulating it: how often
+    /// workers waited on each other. Depends on timing, so report it;
+    /// never gate on it.
+    #[must_use]
+    pub fn flight_waits(&self) -> u64 {
+        self.waits.load(Ordering::Relaxed)
+    }
+
     /// The memoized estimate for `key`, from `compute` on a miss. The
     /// first worker to miss computes it; workers that miss meanwhile wait
     /// on its flight. If that worker panics, the flight stays empty and
@@ -258,11 +268,16 @@ impl MissRateEstimator {
             }
             Arc::clone(memo.in_flight.entry(key).or_default())
         };
+        let mut computed = false;
         let rate = *flight.get_or_init(|| {
+            computed = true;
             let rate = compute();
             self.computed.fetch_add(1, Ordering::Relaxed);
             rate
         });
+        if !computed {
+            self.waits.fetch_add(1, Ordering::Relaxed);
+        }
         let mut memo = self
             .memo
             .lock()
@@ -607,6 +622,11 @@ mod tests {
         assert_eq!(got, vec![Some(0.25f64.to_bits()); WORKERS]);
         assert_eq!(calls.into_inner(), 1);
         assert_eq!(est.estimates_computed(), 1);
+        assert_eq!(
+            est.flight_waits(),
+            WORKERS as u64 - 1,
+            "the others took the flight's value"
+        );
         assert!(est.memo.lock().expect("unpoisoned").in_flight.is_empty());
         // The real estimate, raced the same way, gives the oracle's bits.
         let loc = LocalityProfile::hierarchical(32 << 10, 512 << 10, 16 << 20, 0.6, 0.25);
@@ -645,6 +665,11 @@ mod tests {
         assert!(got.iter().flatten().all(|&r| r == 0.5f64.to_bits()));
         assert_eq!(attempts.into_inner(), 2);
         assert_eq!(est.estimates_computed(), 1);
+        assert_eq!(
+            est.flight_waits(),
+            WORKERS as u64 - 2,
+            "neither computing worker waited"
+        );
         assert!(est.memo.lock().expect("unpoisoned").in_flight.is_empty());
     }
 

@@ -239,6 +239,8 @@ struct PhaseMemo {
     in_flight: KeyMap<MemoWords, Arc<OnceLock<PhasePerf>>>,
     /// Values computed to completion: an exact count.
     computed: u64,
+    /// Lookups that took their value from another worker's flight.
+    waits: u64,
 }
 
 /// One [`PhaseMemo`] generation. Specs, phases and environments recur
@@ -345,6 +347,7 @@ fn memoized(
     });
     let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
     memo.computed += u64::from(computed);
+    memo.waits += u64::from(!computed);
     // The first worker back retires the flight and stores the value once.
     if memo.in_flight.remove(&words).is_some() {
         memo.insert(words, p);
@@ -367,6 +370,18 @@ pub fn phase_values_computed() -> u64 {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .computed
+}
+
+/// Phase-memo lookups that found the value in flight on another worker
+/// and took it from that flight instead of computing it: how often
+/// workers waited on each other. Depends on timing, so report it; never
+/// gate on it.
+#[must_use]
+pub fn phase_value_waits() -> u64 {
+    phase_memo()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .waits
 }
 
 /// Process-global memo over [`phase_performance`].
@@ -1728,6 +1743,11 @@ mod tests {
         assert_eq!(calls.into_inner(), 1);
         let guard = memo.lock().expect("unpoisoned");
         assert_eq!(guard.computed, 1);
+        assert_eq!(
+            guard.waits,
+            WORKERS as u64 - 1,
+            "the others took the flight's value"
+        );
         assert!(guard.in_flight.is_empty());
         assert_eq!(guard.current.entries.len(), 1, "stored once");
         drop(guard);
@@ -1760,6 +1780,11 @@ mod tests {
         assert_eq!(attempts.into_inner(), 2);
         let guard = memo.lock().expect("unpoisoned");
         assert_eq!(guard.computed, 1);
+        assert_eq!(
+            guard.waits,
+            WORKERS as u64 - 2,
+            "neither computing worker waited"
+        );
         assert!(guard.in_flight.is_empty());
     }
 

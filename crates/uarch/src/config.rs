@@ -126,7 +126,8 @@ impl ChipConfig {
     pub fn with_clock(mut self, clock: Hertz) -> Result<Self, ConfigError> {
         let lo = self.spec.min_clock.value() - 1.0;
         let hi = self.spec.base_clock.value() + 1.0;
-        if clock.value() < lo || clock.value() > hi {
+        // A NaN clock falls outside every range.
+        if !(lo..=hi).contains(&clock.value()) {
             return Err(ConfigError::ClockOutOfRange {
                 requested_hz: clock.value(),
                 min_hz: self.spec.min_clock.value(),
@@ -294,6 +295,10 @@ mod tests {
         assert_eq!(stock.clone().with_smt(true), Err(ConfigError::SmtUnavailable));
         assert!(matches!(
             stock.clone().with_clock(Hertz::from_ghz(9.0)),
+            Err(ConfigError::ClockOutOfRange { .. })
+        ));
+        assert!(matches!(
+            stock.clone().with_clock(Hertz::new(f64::NAN)),
             Err(ConfigError::ClockOutOfRange { .. })
         ));
         assert_eq!(stock.with_turbo(true), Err(ConfigError::TurboUnavailable));
