@@ -206,10 +206,6 @@ impl ProgressSink {
 }
 
 impl CampaignSink for ProgressSink {
-    fn unit_resolved(&self, unit: &UnitReport) {
-        self.units_resolved(std::slice::from_ref(unit));
-    }
-
     fn units_resolved(&self, units: &[UnitReport]) {
         if let Err(e) = self.writer.record_units(units) {
             eprintln!("[campaign] journal append failed: {e}");

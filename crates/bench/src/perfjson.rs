@@ -669,7 +669,7 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
     // campaign executor: one supervised run over the 540 Quick-grid
     // units with every cell already held by the runner (preloaded, as a
     // resume does) and the journal on a temporary file -- the pool, the
-    // hand-out and the batched journal, with no measurement in it.
+    // batched journal, with no measurement in it.
     {
         let harness = Arc::new(Harness::quick());
         let units = grid_units(&configs::all_study_configs(), harness.workloads());
@@ -723,10 +723,6 @@ pub fn collect(label: &str, cfg: &TimerConfig) -> BenchReport {
 struct JournalSink(JournalWriter);
 
 impl CampaignSink for JournalSink {
-    fn unit_resolved(&self, unit: &UnitReport) {
-        self.units_resolved(std::slice::from_ref(unit));
-    }
-
     fn units_resolved(&self, units: &[UnitReport]) {
         self.0
             .record_units(units)

@@ -750,13 +750,11 @@ pub(crate) fn fan_out<T: Send>(
         .collect()
 }
 
-/// The order both worker pools -- [`fan_out`] under
-/// [`Runner::try_measure_cells`] and the campaign
-/// [`Supervisor`](crate::Supervisor) -- hand work out in: the first item
-/// of each key (a workload) in input order, then every repeat in input
-/// order. Two workers then start different workloads, instead of one
-/// waiting on the other's memo flight for the values the two share.
-/// Returns the input indices in hand-out order.
+/// The order [`fan_out`] under [`Runner::try_measure_cells`] hands work
+/// out in: the first item of each key (a workload) in input order, then
+/// every repeat in input order. Two workers then start different
+/// workloads, instead of one waiting on the other's memo flight for the
+/// values the two share. Returns the input indices in hand-out order.
 pub(crate) fn hand_out_order<K: Eq + std::hash::Hash>(
     keys: impl IntoIterator<Item = K>,
 ) -> Vec<usize> {

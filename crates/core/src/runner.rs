@@ -815,7 +815,7 @@ fn retry_seed(base: u64, attempt: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_sensors::faults::{Drift, FaultPlan, Saturation, Spikes};
+    use lhr_sensors::faults::{Drift, FaultPlan, Saturation, Spikes, Stall};
     use lhr_uarch::ProcessorId;
     use lhr_workloads::by_name;
 
@@ -1059,5 +1059,36 @@ mod tests {
         // Other machines are unaffected.
         let other = ChipConfig::stock(ProcessorId::Atom230.spec());
         assert!(r.try_measure(&other, w).is_ok());
+    }
+
+    #[test]
+    fn work_is_handed_out_first_occurrences_first() {
+        assert_eq!(hand_out_order(["a", "a", "b", "b", "c"]), [0, 2, 4, 1, 3]);
+        assert_eq!(
+            hand_out_order(["a", "b", "c"]),
+            [0, 1, 2],
+            "otherwise input order"
+        );
+        assert_eq!(hand_out_order(["a", "b", "a", "c", "b"]), [0, 1, 3, 2, 4]);
+
+        // A faulted machine's chain keeps its own order and is handed
+        // out as its first cell is.
+        let atom = ChipConfig::stock(ProcessorId::Atom230.spec());
+        let i7 = ChipConfig::stock(ProcessorId::CoreI7_920.spec());
+        let w = |n| by_name(n).expect("catalog workload");
+        let (hmmer, db, mcf) = (w("hmmer"), w("db"), w("mcf"));
+        let plan = FaultPlan::new(5).with_stall(Stall::transient(1, 0.1));
+        let runner = Runner::fast().with_fault_plan(ProcessorId::CoreI7_920, plan);
+        let cells: [(&ChipConfig, &Workload); 5] = [
+            (&atom, hmmer),
+            (&i7, hmmer),
+            (&atom, db),
+            (&i7, db),
+            (&atom, mcf),
+        ];
+        assert_eq!(
+            runner.hand_out_units(&cells),
+            [vec![0], vec![2], vec![4], vec![1, 3]]
+        );
     }
 }

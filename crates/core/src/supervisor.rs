@@ -16,15 +16,11 @@
 //! A [`Supervisor`] drives a list of `(configuration, workload)` units
 //! through [`Harness::try_evaluate_workload`] on a fixed pool of `jobs`
 //! detached worker threads. The workers pull units from one shared
-//! queue and send completions home over a channel; the scheduling
-//! thread keeps deadlines, retries and the sink off their path:
+//! queue in input order and send completions home over a channel; the
+//! scheduling thread keeps deadlines, retries and the sink off their
+//! path. A unit due for a retry goes back in at its own place, ahead of
+//! every unit not yet started.
 //!
-//! * **Hand-out order.** The queue hands out each workload's first unit
-//!   before any repeat of it, and otherwise the input order (the order
-//!   [`Harness::measure_all`] hands out cells in too), so two workers
-//!   rarely start the same workload at once and wait on each other's
-//!   memo flights. A unit due for a retry goes back in at its own place,
-//!   ahead of every unit not yet started.
 //! * **Watchdog deadlines.** Each unit gets a soft deadline scaled from
 //!   the runner's prescribed invocation count (a 20-invocation Java cell
 //!   earns more wall-clock than a 3-invocation SPEC cell), counted from
@@ -33,7 +29,8 @@
 //!   pool, the supervisor stops waiting, but if the straggler finishes
 //!   later its result is still accepted ("stale-result acceptance") --
 //!   measurements are deterministic, so a late answer is exactly as good
-//!   as a prompt one. The straggler then exits.
+//!   as a prompt one. The straggler then exits. If its unit's retry is
+//!   still queued then, the retry is withdrawn and never counted.
 //! * **Backoff retry.** Transient failures (deadline misses, contained
 //!   worker panics) earn a re-run after a bounded, exponentially growing
 //!   delay with deterministic seeded jitter ([`RetryPolicy`]).
@@ -75,7 +72,7 @@ use lhr_uarch::ChipConfig;
 use lhr_workloads::Workload;
 
 use crate::error::{MeasureError, MeasureErrorKind, MeasureHealth};
-use crate::harness::{hand_out_order, panic_message, CellHealth, Evaluation, Harness, SweepHealth};
+use crate::harness::{panic_message, CellHealth, Evaluation, Harness, SweepHealth};
 
 /// Bounded exponential backoff with deterministic seeded jitter.
 ///
@@ -200,23 +197,14 @@ impl UnitReport {
 /// order, from the supervisor's scheduling thread. This is where a
 /// write-ahead journal hooks in.
 pub trait CampaignSink: Send + Sync {
-    /// Consumes one resolved unit.
-    fn unit_resolved(&self, unit: &UnitReport);
-
     /// Consumes the units resolved since the last call, in resolution
-    /// order: what the supervisor calls. The default offers each to
-    /// [`CampaignSink::unit_resolved`]; a journal overrides it to write
-    /// and sync the batch once.
-    fn units_resolved(&self, units: &[UnitReport]) {
-        for unit in units {
-            self.unit_resolved(unit);
-        }
-    }
+    /// order. A journal writes and syncs each batch once.
+    fn units_resolved(&self, units: &[UnitReport]);
 }
 
 /// The do-nothing sink.
 impl CampaignSink for () {
-    fn unit_resolved(&self, _: &UnitReport) {}
+    fn units_resolved(&self, _: &[UnitReport]) {}
 }
 
 /// A cooperative abort switch shared between a campaign and whoever may
@@ -320,7 +308,7 @@ struct Completion {
     outcome: Result<(Evaluation, MeasureHealth), MeasureError>,
 }
 
-/// One attempt at a unit, queued for the pool.
+/// One attempt at a unit, as a worker runs it.
 #[derive(Clone, Copy)]
 struct Dispatch {
     unit: usize,
@@ -337,10 +325,10 @@ enum Slot {
     Done,
 }
 
-/// The units queued for the pool, keyed by hand-out rank: a worker
-/// always takes the earliest-ranked one.
+/// The attempts queued for the pool, as unit index -> attempt: a worker
+/// always takes the lowest unit index.
 struct Queue {
-    pending: BTreeMap<usize, Dispatch>,
+    pending: BTreeMap<usize, u32>,
     closed: bool,
 }
 
@@ -389,8 +377,8 @@ impl Pool {
             if queue.closed {
                 return None;
             }
-            if let Some((_, dispatch)) = queue.pending.pop_first() {
-                return Some(dispatch);
+            if let Some((unit, attempt)) = queue.pending.pop_first() {
+                return Some(Dispatch { unit, attempt });
             }
             queue = self
                 .wake
@@ -554,16 +542,11 @@ impl Supervisor {
 
         let n = units.len();
         let started = Instant::now();
-        let mut rank = vec![0; n];
-        let order = hand_out_order(units.iter().map(|u| u.workload.name()));
-        for (r, &i) in order.iter().enumerate() {
-            rank[i] = r;
-        }
         let pool = Arc::new(Pool {
             harness: Arc::clone(&self.harness),
             units: units.into(),
             queue: Mutex::new(Queue {
-                pending: (0..n).map(|unit| (rank[unit], Dispatch { unit, attempt: 1 })).collect(),
+                pending: (0..n).map(|unit| (unit, 1)).collect(),
                 closed: false,
             }),
             wake: Condvar::new(),
@@ -654,7 +637,7 @@ impl Supervisor {
                     attempts[i] += 1;
                     let attempt = attempts[i];
                     slots[i] = Slot::Dispatched { attempt };
-                    queue.pending.insert(rank[i], Dispatch { unit: i, attempt });
+                    queue.pending.insert(i, attempt);
                 }
                 drop(queue);
                 pool.wake.notify_all();
@@ -682,8 +665,14 @@ impl Supervisor {
                     // A success is conclusive whether it came from the
                     // current worker or a retired straggler: the
                     // measurement is deterministic, so late data is
-                    // still the data.
-                    Ok((evaluation, health)) => UnitOutcome::Completed { evaluation, health },
+                    // still the data. A retry still queued behind busy
+                    // workers is withdrawn: it never started.
+                    Ok((evaluation, health)) => {
+                        if !current && pool.queue().pending.remove(&i).is_some() {
+                            attempts[i] -= 1;
+                        }
+                        UnitOutcome::Completed { evaluation, health }
+                    }
                     // A stale failure: the unit is already on its
                     // recovery path (backoff wait or a fresh attempt).
                     Err(_) if !current => continue,
@@ -721,8 +710,8 @@ impl Supervisor {
             std::mem::take(&mut queue.pending)
         };
         pool.wake.notify_all();
-        for dispatch in unstarted.into_values() {
-            attempts[dispatch.unit] -= 1;
+        for unit in unstarted.into_keys() {
+            attempts[unit] -= 1;
         }
 
         let aborted = resolved < n;
@@ -967,17 +956,42 @@ mod tests {
             abort: AbortHandle,
         }
         impl CampaignSink for CountingSink {
-            fn unit_resolved(&self, unit: &UnitReport) {
+            fn units_resolved(&self, units: &[UnitReport]) {
                 let mut seen = self.seen.lock();
-                seen.push(format!("{} / {}", unit.config_label, unit.workload));
-                if seen.len() >= self.abort_after {
-                    self.abort.abort();
+                for unit in units {
+                    seen.push(format!("{} / {}", unit.config_label, unit.workload));
+                    if seen.len() >= self.abort_after {
+                        self.abort.abort();
+                    }
                 }
             }
         }
-        let harness = quick_harness();
-        let units = small_grid(&harness);
+        /// Holds every cell after the first `free` until the campaign
+        /// is aborted: the workers run ahead of the scheduling thread,
+        /// so without it the whole grid may finish in the first batch.
+        #[derive(Debug)]
+        struct HoldAfter {
+            free: usize,
+            recorded: std::sync::atomic::AtomicUsize,
+            abort: AbortHandle,
+        }
+        impl CellSink for HoldAfter {
+            fn record_cell(&self, _: &ChipConfig, _: &[Evaluation]) {
+                if self.recorded.fetch_add(1, Ordering::Relaxed) >= self.free {
+                    let give_up = Instant::now() + Duration::from_secs(10);
+                    while !self.abort.is_aborted() && Instant::now() < give_up {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            }
+        }
         let abort = AbortHandle::new();
+        let harness = Arc::new(Harness::quick().with_cell_sink(Arc::new(HoldAfter {
+            free: 5,
+            recorded: 0.into(),
+            abort: abort.clone(),
+        })));
+        let units = small_grid(&harness);
         let sink = CountingSink {
             seen: Mutex::new(Vec::new()),
             abort_after: 5,
@@ -1174,59 +1188,100 @@ mod tests {
     }
 
     #[test]
-    fn work_is_handed_out_first_occurrences_first() {
-        assert_eq!(hand_out_order(["a", "a", "b", "b", "c"]), [0, 2, 4, 1, 3]);
-        assert_eq!(
-            hand_out_order(["a", "b", "c"]),
-            [0, 1, 2],
-            "otherwise input order"
-        );
-        assert_eq!(hand_out_order(["a", "b", "a", "c", "b"]), [0, 1, 3, 2, 4]);
-
-        // A faulted machine's chain keeps its own order and is handed
-        // out as its first cell is.
-        let atom = ChipConfig::stock(ProcessorId::Atom230.spec());
-        let i7 = ChipConfig::stock(ProcessorId::CoreI7_920.spec());
-        let w = |n| lhr_workloads::by_name(n).expect("catalog workload");
-        let (hmmer, db, mcf) = (w("hmmer"), w("db"), w("mcf"));
-        let plan = FaultPlan::new(5).with_stall(Stall::transient(1, 0.1));
-        let runner = Runner::fast().with_fault_plan(ProcessorId::CoreI7_920, plan);
-        let cells: [(&ChipConfig, &Workload); 5] = [
-            (&atom, hmmer),
-            (&i7, hmmer),
-            (&atom, db),
-            (&i7, db),
-            (&atom, mcf),
-        ];
-        assert_eq!(
-            runner.hand_out_units(&cells),
-            [vec![0], vec![2], vec![4], vec![1, 3]]
-        );
-
-        // One supervised worker resolves the units in hand-out order:
-        // the pair list a figure measures runs one machine at a time.
-        struct Order(Mutex<Vec<String>>);
-        impl CampaignSink for Order {
-            fn unit_resolved(&self, unit: &UnitReport) {
-                self.0
-                    .lock()
-                    .push(format!("{} / {}", unit.config_label, unit.workload));
+    fn a_straggler_success_withdraws_its_queued_retry() {
+        // One worker. The i7's first rig run hangs past its deadline, so
+        // the worker is retired and the unit's retry is queued; the
+        // replacement is held on the Atom unit until the i7 unit
+        // resolves, so that retry still waits in the queue when the
+        // straggler's success comes home. It never starts, and neither
+        // the journal nor the report may count it.
+        #[derive(Debug, Default)]
+        struct Gate {
+            open: std::sync::Mutex<bool>,
+            opened: Condvar,
+        }
+        #[derive(Debug)]
+        struct HoldAtom(Arc<Gate>);
+        impl CellSink for HoldAtom {
+            fn record_cell(&self, config: &ChipConfig, _: &[Evaluation]) {
+                if config.label().contains("Atom") {
+                    let open = self.0.open.lock().unwrap();
+                    let _ = self
+                        .0
+                        .opened
+                        .wait_timeout_while(open, Duration::from_secs(10), |open| !*open)
+                        .unwrap();
+                }
             }
         }
-        let harness = Arc::new(Harness::new(Runner::fast()).with_workloads(vec![hmmer, db]));
-        let units: Vec<CampaignUnit> = [(&atom, hmmer), (&i7, hmmer), (&atom, db), (&i7, db)]
-            .into_iter()
-            .map(|(c, w)| CampaignUnit {
-                config: c.clone(),
-                workload: w,
-            })
-            .collect();
-        let order = Order(Mutex::new(Vec::new()));
-        let report = Supervisor::new(harness)
+        struct Journal {
+            gate: Arc<Gate>,
+            lines: Mutex<Vec<(String, u32)>>,
+        }
+        impl CampaignSink for Journal {
+            fn units_resolved(&self, units: &[UnitReport]) {
+                for unit in units {
+                    let key = format!("{} / {}", unit.config_label, unit.workload);
+                    self.lines.lock().push((key, unit.attempts));
+                    if unit.config_label.contains("i7") {
+                        *self.gate.open.lock().unwrap() = true;
+                        self.gate.opened.notify_all();
+                    }
+                }
+            }
+        }
+        let plan = FaultPlan::new(3).with_stall(Stall::transient(1, 0.9));
+        let memory = Arc::new(MemoryRecorder::default());
+        let runner = Runner::fast()
+            .with_fault_plan(ProcessorId::CoreI7_920, plan)
+            .with_observer(Obs::recording(memory.clone()));
+        let gate = Arc::new(Gate::default());
+        let hmmer = lhr_workloads::by_name("hmmer").expect("exists");
+        let harness = Arc::new(
+            Harness::new(runner)
+                .with_workloads(vec![hmmer])
+                .with_cell_sink(Arc::new(HoldAtom(Arc::clone(&gate)))),
+        );
+        let configs = [
+            ChipConfig::stock(ProcessorId::CoreI7_920.spec()),
+            ChipConfig::stock(ProcessorId::Atom230.spec()),
+        ];
+        let units = grid_units(&configs, harness.workloads());
+        let journal = Journal {
+            gate,
+            lines: Mutex::new(Vec::new()),
+        };
+        // Deadlines of 0.6 s (2 invocations): the i7 misses its own, and
+        // the Atom unit, held from then until the straggler returns at
+        // 0.9 s, makes its own.
+        let report = Supervisor::new(Arc::clone(&harness))
             .with_jobs(1)
-            .run(&units, &order, &AbortHandle::new());
-        assert_eq!(report.completed, 4);
-        let keys: Vec<String> = [0, 2, 1, 3].iter().map(|&i| units[i].key()).collect();
-        assert_eq!(*order.0.lock(), keys);
+            .with_max_cell_seconds(0.9)
+            .with_policy(RetryPolicy {
+                max_attempts: 3,
+                base_delay_s: 0.1,
+                max_delay_s: 0.1,
+                seed: 1,
+            })
+            .run(&units, &journal, &AbortHandle::new());
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.units[0].deadline_misses, 1, "the i7 missed its deadline");
+        assert_eq!(report.units[1].deadline_misses, 0, "the held Atom did not");
+        let mut reported: Vec<(String, u32)> = report
+            .units
+            .iter()
+            .map(|u| (format!("{} / {}", u.config_label, u.workload), u.attempts))
+            .collect();
+        reported.sort();
+        let mut journaled = journal.lines.lock().clone();
+        journaled.sort();
+        assert_eq!(journaled, reported, "the journal and the report agree");
+        assert_eq!(report.units[0].attempts, 1, "the queued retry never started");
+        assert_eq!(report.retries, 0);
+        assert_eq!(
+            memory.snapshot().counter("campaign.retries"),
+            0,
+            "no worker started a retry"
+        );
     }
 }

@@ -38,32 +38,36 @@ use lhr::workloads::by_name;
 struct NarratingSink;
 
 impl CampaignSink for NarratingSink {
-    fn unit_resolved(&self, unit: &UnitReport) {
-        let verdict = match &unit.outcome {
-            UnitOutcome::Completed { .. } if unit.deadline_misses > 0 || unit.attempts > 1 => {
-                "healed"
-            }
-            UnitOutcome::Completed { .. } => "ok",
-            UnitOutcome::Failed { error } => {
-                println!(
-                    "  {:<28} FAILED after {} attempts: {}",
-                    format!("{} / {}", unit.config_label, unit.workload),
-                    unit.attempts,
-                    error
-                );
-                return;
-            }
-            UnitOutcome::Skipped => "skipped",
-        };
-        println!(
-            "  {:<28} {verdict:<7} ({} attempt{}, {} deadline miss{})",
-            format!("{} / {}", unit.config_label, unit.workload),
-            unit.attempts,
-            if unit.attempts == 1 { "" } else { "s" },
-            unit.deadline_misses,
-            if unit.deadline_misses == 1 { "" } else { "es" },
-        );
+    fn units_resolved(&self, units: &[UnitReport]) {
+        for unit in units {
+            narrate(unit);
+        }
     }
+}
+
+fn narrate(unit: &UnitReport) {
+    let verdict = match &unit.outcome {
+        UnitOutcome::Completed { .. } if unit.deadline_misses > 0 || unit.attempts > 1 => "healed",
+        UnitOutcome::Completed { .. } => "ok",
+        UnitOutcome::Failed { error } => {
+            println!(
+                "  {:<28} FAILED after {} attempts: {}",
+                format!("{} / {}", unit.config_label, unit.workload),
+                unit.attempts,
+                error
+            );
+            return;
+        }
+        UnitOutcome::Skipped => "skipped",
+    };
+    println!(
+        "  {:<28} {verdict:<7} ({} attempt{}, {} deadline miss{})",
+        format!("{} / {}", unit.config_label, unit.workload),
+        unit.attempts,
+        if unit.attempts == 1 { "" } else { "s" },
+        unit.deadline_misses,
+        if unit.deadline_misses == 1 { "" } else { "es" },
+    );
 }
 
 fn main() {
