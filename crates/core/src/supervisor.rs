@@ -18,8 +18,7 @@
 //! detached worker threads. The workers pull units from one shared
 //! queue in input order and send completions home over a channel; the
 //! scheduling thread keeps deadlines, retries and the sink off their
-//! path. A unit due for a retry goes back in at its own place, ahead of
-//! every unit not yet started.
+//! path:
 //!
 //! * **Watchdog deadlines.** Each unit gets a soft deadline scaled from
 //!   the runner's prescribed invocation count (a 20-invocation Java cell
@@ -33,7 +32,9 @@
 //!   still queued then, the retry is withdrawn and never counted.
 //! * **Backoff retry.** Transient failures (deadline misses, contained
 //!   worker panics) earn a re-run after a bounded, exponentially growing
-//!   delay with deterministic seeded jitter ([`RetryPolicy`]).
+//!   delay with deterministic seeded jitter ([`RetryPolicy`]); the
+//!   retry goes back in the queue at its own place, ahead of every unit
+//!   not yet started.
 //!   Permanent failures (rig setup, terminal sensor faults, an
 //!   exhausted in-runner retry budget) finalize immediately -- the
 //!   runner already spent its second chances, and looping on a dead rig
