@@ -8,7 +8,7 @@
 //! is recorded in the [`SweepHealth`] summary while every healthy cell
 //! still reports its numbers.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -748,28 +748,6 @@ pub(crate) fn fan_out<T: Send>(
         .into_iter()
         .map(|slot| slot.into_inner().expect("every index ran"))
         .collect()
-}
-
-/// The order [`fan_out`] under [`Runner::try_measure_cells`] hands work
-/// out in: the first item of each key (a workload) in input order, then
-/// every repeat in input order. Two workers then start different
-/// workloads, instead of one waiting on the other's memo flight for the
-/// values the two share. Returns the input indices in hand-out order.
-pub(crate) fn hand_out_order<K: Eq + std::hash::Hash>(
-    keys: impl IntoIterator<Item = K>,
-) -> Vec<usize> {
-    let mut seen = HashSet::new();
-    let mut repeats = Vec::new();
-    let mut order = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        if seen.insert(key) {
-            order.push(i);
-        } else {
-            repeats.push(i);
-        }
-    }
-    order.extend(repeats);
-    order
 }
 
 /// Best-effort extraction of a panic payload's message.

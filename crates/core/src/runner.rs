@@ -22,7 +22,7 @@
 //! access, because its injector's thermal clock and stall counters
 //! depend on call order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -37,7 +37,7 @@ use lhr_workloads::{Group, Workload};
 
 use crate::cache::{CellCache, CellKey, UnboundedCache};
 use crate::error::{MeasureError, MeasureErrorKind, MeasureHealth, RunnerHealth};
-use crate::harness::{fan_out, hand_out_order};
+use crate::harness::fan_out;
 
 /// Default number of extra invocations a measurement may spend on
 /// retries before giving up.
@@ -810,6 +810,26 @@ fn seed_for(base: u64, workload: &str, config: &str, invocation: usize) -> u64 {
 /// invocation whose attempt-0 seed is `base`.
 fn retry_seed(base: u64, attempt: usize) -> u64 {
     base.rotate_left(17) ^ (attempt as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
+}
+
+/// The order [`Runner::try_measure_cells`] hands its units out in: the
+/// first item of each key (a workload) in input order, then every repeat
+/// in input order. Two workers then start different workloads, instead
+/// of one waiting on the other's memo flight for the values the two
+/// share. Returns the input indices in hand-out order.
+fn hand_out_order<K: Eq + std::hash::Hash>(keys: impl IntoIterator<Item = K>) -> Vec<usize> {
+    let mut seen = HashSet::new();
+    let mut repeats = Vec::new();
+    let mut order = Vec::new();
+    for (i, key) in keys.into_iter().enumerate() {
+        if seen.insert(key) {
+            order.push(i);
+        } else {
+            repeats.push(i);
+        }
+    }
+    order.extend(repeats);
+    order
 }
 
 #[cfg(test)]
