@@ -340,8 +340,9 @@ impl Observability {
         let estimator = lhr_uarch::MissRateEstimator::global();
         let _ = writeln!(
             out,
-            "  miss-rate estimates {} computed, {} flight waits",
+            "  miss-rate estimates {} computed, {} accesses simulated, {} flight waits",
             estimator.estimates_computed(),
+            estimator.accesses_simulated(),
             estimator.flight_waits(),
         );
         if let Some((path, json)) = &self.trace {

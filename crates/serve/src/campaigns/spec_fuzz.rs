@@ -13,7 +13,8 @@
 //! - every accepted spec is valid: its tenant, weight and quota are in
 //!   range, it names at least one chip, and it resolves to one unit per
 //!   chip and workload, on a configuration its chip can run at a clock
-//!   inside the chip's range;
+//!   inside the chip's range, and an `NCxT@GHz` descriptor resolves to
+//!   `N` cores of `x` hardware threads each;
 //! - the valid spec parses to the fields it was built from, and
 //!   removing an optional field gives that field's default.
 
@@ -62,6 +63,7 @@ const VALUES: &[&str] = &[
     "1e-320", "1e309", "inf", "-inf", "NaN", "nan", "0x10", "+3", "i7-45", "atom", "C2D (45)",
     "c2d-45", "p4", "i5-32", "atomd-45", "gpu", ",", ",,", "i7-45,atom-45", "stock", "STOCK",
     "2C1T@1.6", "4c2t@2.66", "1C1T@0.8", "1C2T@1.66", "0C1T@1.6", "9C1T@1.6", "2C0T@1.6",
+    "4C7T@2.66", "2C3T@1.6", "1C2T@2.4",
     "2C1T@nan", "2C1T@inf", "2C1T@-1", "2C1T@1e-300", "2C1T@", "@1.6", "C1T@1.6", "2CT@1.6",
     "2C1T1.6", "2C1T@@1.6", "db", "jess", "db,jess", "mcf,hmmer,", "nosuch", "%2C", "%zz", "%",
     "%00", "%ff", "+", "=", "&", "?", "#",
@@ -147,12 +149,30 @@ fn submit(harness: &Harness, query: &str) -> Outcome {
                     cpu.short
                 );
                 assert!((1..=cpu.cores).contains(&config.active_cores()), "{query:?}");
+                if let Some((cores, threads)) = topology_asked(&spec.descriptor) {
+                    assert_eq!(
+                        (config.active_cores(), config.threads_per_core()),
+                        (cores, threads),
+                        "{query:?}: resolved to {}",
+                        config.label()
+                    );
+                } else {
+                    assert!(spec.descriptor.eq_ignore_ascii_case("stock"), "{query:?}");
+                }
                 assert!(served.iter().any(|w| std::ptr::eq(*w, *workload)), "{query:?}");
             }
             let count = units.len();
             Outcome::Accepted(spec, count)
         }
     }
+}
+
+/// The cores and threads per core an `NCxT@GHz` descriptor asks for.
+fn topology_asked(descriptor: &str) -> Option<(usize, usize)> {
+    let (topology, _) = descriptor.split_once('@')?;
+    let topology = topology.to_ascii_lowercase();
+    let (cores, threads) = topology.strip_suffix('t')?.split_once('c')?;
+    Some((cores.parse().ok()?, threads.parse().ok()?))
 }
 
 /// Checks `refusal` is a typed error with an allowed status; returns the
@@ -210,6 +230,18 @@ fn the_valid_spec_parses_to_its_fields_and_defaults_fill_removed_ones() {
                 assert_eq!(units, 2 * harness.workloads().len());
             }
             (name, outcome) => panic!("removing {name} gave {outcome:?}"),
+        }
+    }
+
+    // Every descriptor in the value pool on the base spec, with and
+    // without a chip that has no SMT: `submit` checks that an accepted
+    // one resolves to the cores and threads it names.
+    for chips in ["i7-45,c2d-45", "i7-45"] {
+        for descriptor in VALUES.iter().filter(|v| v.contains('@')) {
+            let mut pairs = base.clone();
+            pairs[4].1 = chips.to_owned();
+            pairs[5].1 = (*descriptor).to_owned();
+            let _ = submit(&harness, &join(&pairs));
         }
     }
 }

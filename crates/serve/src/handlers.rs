@@ -335,11 +335,13 @@ fn chip_tokens() -> &'static str {
 
 /// Builds a configuration from a descriptor like `4C2T@2.0` (cores,
 /// threads per core, GHz) or `stock`, plus the optional turbo override.
+/// A core runs 1 thread, or as many as the chip's SMT runs (2 on every
+/// SMT chip of the study).
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first malformed piece of
-/// the descriptor (topology, clock, or turbo flag).
+/// the descriptor (topology, thread count, clock, or turbo flag).
 pub fn build_config(
     id: ProcessorId,
     descriptor: &str,
@@ -361,11 +363,23 @@ pub fn build_config(
         let threads: usize = threads
             .parse()
             .map_err(|_| format!("bad thread count {threads:?}"))?;
+        let ways = id.spec().smt_ways;
+        let smt = match threads {
+            1 => false,
+            n if n == ways => true,
+            _ => {
+                let counts = if ways > 1 { format!("1 or {ways}") } else { "1".to_owned() };
+                return Err(format!(
+                    "bad thread count {threads}: {} runs {counts} per core",
+                    id.spec().short
+                ));
+            }
+        };
         let ghz: f64 = ghz.parse().map_err(|_| format!("bad clock {ghz:?}"))?;
         config = config
             .with_cores(cores)
             .map_err(|e| e.to_string())?
-            .with_smt(threads > 1)
+            .with_smt(smt)
             .map_err(|e| e.to_string())?
             .with_clock(Hertz::from_ghz(ghz))
             .map_err(|e| e.to_string())?;
@@ -910,6 +924,18 @@ mod tests {
         assert!(build_config(id, "nonsense", None).is_err());
         assert!(build_config(id, "99C1T@2.0", None).is_err(), "too many cores");
         assert!(build_config(id, "stock", Some("sideways")).is_err());
+        // A thread count is 1, or 2 on a chip with SMT; any other is
+        // refused by name, not rounded to SMT on or off.
+        let smt = build_config(id, "4C2T@2.0", None).unwrap();
+        assert_eq!((smt.active_cores(), smt.threads_per_core()), (4, 2));
+        for (descriptor, count) in [("4C7T@2.0", "7"), ("2C0T@1.6", "0")] {
+            let err = build_config(id, descriptor, None).unwrap_err();
+            assert!(err.contains(&format!("thread count {count}")), "{descriptor}: {err}");
+        }
+        let no_smt = ProcessorId::Core2DuoE6600;
+        assert!(build_config(no_smt, "2C1T@2.0", None).is_ok());
+        let err = build_config(no_smt, "2C2T@2.0", None).unwrap_err();
+        assert!(err.contains("thread count 2"), "no SMT to enable: {err}");
     }
 
     #[test]

@@ -7,10 +7,38 @@
 //! simulators in `lhr-uarch` estimate miss rates by running a sampled
 //! [`AddressStream`] from this model through real set-associative arrays.
 
-use crate::rng::Rng64;
+use std::hint::select_unpredictable;
+
+use crate::rng::{Rng64, SplitMix64};
 
 /// Alignment of generated addresses (bytes). Eight-byte words.
 const WORD: u64 = 8;
+
+/// The integer form of the test `next_f64() < t` on a raw draw `x`: the
+/// test holds exactly when `x >> 11 < threshold(t)`.
+///
+/// `next_f64` is `(x >> 11) as f64 * 2^-53`, and both factors and the
+/// product are exact, so the test compares the integer `x >> 11` with the
+/// real `t * 2^53`, itself exact (a power-of-two scaling). An integer lies
+/// below a real exactly when it lies below the real's ceiling, and every
+/// `x >> 11` lies below `2^53`.
+fn threshold(t: f64) -> u64 {
+    const ONE: f64 = (1u64 << 53) as f64;
+    let scaled = t * ONE;
+    if scaled.is_nan() || scaled <= 0.0 {
+        0
+    } else if scaled >= ONE {
+        1 << 53
+    } else {
+        scaled.ceil() as u64
+    }
+}
+
+/// `next_below(bound)` on a draw already taken: the high word of
+/// `x * bound`. Zero when `bound` is zero.
+fn below(x: u64, bound: u64) -> u64 {
+    ((u128::from(x) * u128::from(bound)) >> 64) as u64
+}
 
 /// A three-tier working-set locality model.
 ///
@@ -256,6 +284,70 @@ impl<R: Rng64> Iterator for AddressStream<'_, R> {
     }
 }
 
+impl AddressStream<'_, SplitMix64> {
+    /// Fills `out` with the stream's next `out.len()` addresses: exactly
+    /// what as many [`Iterator::next`] calls return, leaving the generator
+    /// and the sequential cursor where those calls would.
+    ///
+    /// Every address takes the roll and a second draw, whichever tier it
+    /// lands in: the second is the tier's offset, or on the cold tier the
+    /// pointer-chase test. The tests compare a draw's top 53 bits with
+    /// integer thresholds computed once per call, which decide exactly as
+    /// `next`'s float compares do, and the tier's address is selected, not
+    /// branched to. Only a cold access that passes the chase test takes a
+    /// branch, for its third draw.
+    pub fn fill(&mut self, out: &mut [u64]) {
+        let p = self.profile;
+        // A tier under one word is never picked: its threshold is zero.
+        let hot_below = if p.hot_bytes >= WORD { threshold(p.hot_fraction) } else { 0 };
+        let warm_below = if p.warm_bytes >= WORD {
+            threshold(p.hot_fraction + p.warm_fraction)
+        } else {
+            0
+        };
+        let cold_from = hot_below.max(warm_below);
+        let chase_below = threshold(p.pointer_chase.clamp(0.0, 1.0));
+        let hot_words = p.hot_bytes / WORD;
+        let warm_words = p.warm_bytes / WORD;
+        let cold_base = p.hot_bytes + p.warm_bytes;
+        let cold_words = p.total_bytes.saturating_sub(cold_base).max(WORD) / WORD;
+        let last = p.total_bytes.saturating_sub(WORD);
+
+        let mut rng = self.rng.clone();
+        let mut cursor = self.cursor;
+        for slot in out {
+            let roll = rng.next_u64() >> 11;
+            let draw = rng.next_u64();
+            let hot = roll < hot_below;
+            let cold = roll >= cold_from;
+            let chase = cold & (draw >> 11 < chase_below);
+            // A chase takes a third draw for its offset: the loop's one
+            // branch, taken by a few percent of addresses. `chase` feeds
+            // `sweep` below too; a condition used only here would be split
+            // into a branch per test, one of them on the tier.
+            let offset = if chase { rng.next_u64() } else { draw };
+            // The tier is a coin flip to the branch predictor: select it.
+            let (base, words) = select_unpredictable(
+                hot,
+                (0, hot_words),
+                select_unpredictable(cold, (cold_base, cold_words), (p.hot_bytes, warm_words)),
+            );
+            let drawn = base + below(offset, words) * WORD;
+            let sweep = cold & !chase;
+            let swept = cursor.min(last);
+            let mut next = cursor + p.stream_stride;
+            if next >= p.total_bytes {
+                next = cold_base;
+            }
+            cursor = select_unpredictable(sweep, next, cursor);
+            let addr = select_unpredictable(sweep, swept, drawn);
+            *slot = addr & !(WORD - 1);
+        }
+        *self.rng = rng;
+        self.cursor = cursor;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +477,75 @@ mod tests {
     #[should_panic(expected = "fractions out of range")]
     fn overfull_fractions_panic() {
         let _ = LocalityProfile::hierarchical(10, 10, 100, 0.7, 0.7);
+    }
+
+    /// Draws `x`, every time.
+    struct Fixed(u64);
+
+    impl Rng64 for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn thresholds_decide_exactly_as_next_f64_does() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut ts = vec![0.0, -0.0, -1.0, f64::NAN, 5e-324, 0.35, 0.7, 1.0 - ulp, 1.0, 1.0 + 1e-9];
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) - 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 1] {
+            let t = k as f64 * ulp;
+            assert_eq!(threshold(t), k, "t = {k} * 2^-53");
+            ts.extend([t, t.next_up(), t.next_down()]);
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(1.0 - ulp), (1 << 53) - 1);
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert_eq!(threshold(1.0 + 1e-9), 1 << 53);
+        for t in ts {
+            let limit = threshold(t);
+            assert!(limit <= 1 << 53, "t {t:e}: threshold {limit}");
+            let mut probes = vec![0, (1 << 53) - 1];
+            probes.extend(limit.checked_sub(1));
+            probes.extend((limit < 1 << 53).then_some(limit));
+            for top in probes {
+                // The low 11 bits never reach `next_f64`.
+                for low in [0, 0x7ff] {
+                    assert_eq!(
+                        Fixed(top << 11 | low).next_f64() < t,
+                        top < limit,
+                        "t {t:e}, x >> 11 = {top}, threshold {limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_matches_next_on_every_tier_and_block_split() {
+        let profiles = [
+            LocalityProfile::hierarchical(4096, 8192, 1 << 18, 0.6, 0.3)
+                .with_pointer_chase(0.5)
+                .with_stream_stride(128),
+            LocalityProfile::cache_resident(4096),
+            LocalityProfile::streaming(64 * 100),
+            LocalityProfile::pointer_chasing(1 << 20),
+            LocalityProfile::hierarchical(5, 3, 100, 0.5, 0.5),
+        ];
+        for (n, profile) in profiles.iter().enumerate() {
+            let mut by_next = SplitMix64::new(n as u64);
+            let expected: Vec<u64> = profile.address_stream(&mut by_next).take(1027).collect();
+            let mut by_fill = SplitMix64::new(n as u64);
+            let mut got = vec![0; 1027];
+            let mut stream = profile.address_stream(&mut by_fill);
+            let (a, rest) = got.split_at_mut(1);
+            let (b, c) = rest.split_at_mut(769);
+            for block in [a, b, c] {
+                stream.fill(block);
+            }
+            assert_eq!(got, expected, "{profile:?}");
+            assert_eq!(by_fill, by_next, "{profile:?}");
+        }
     }
 
     #[test]

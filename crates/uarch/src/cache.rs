@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use lhr_trace::{LocalityProfile, SplitMix64};
+use lhr_trace::{AddressStream, LocalityProfile, SplitMix64};
 
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,6 +189,7 @@ type EstimateKey = [u64; 8];
 pub struct MissRateEstimator {
     memo: Mutex<EstimateMemo>,
     computed: AtomicU64,
+    accesses: AtomicU64,
     waits: AtomicU64,
 }
 
@@ -222,19 +223,11 @@ impl MissRateEstimator {
     /// Panics if `capacity_bytes` is zero.
     pub fn global_miss_rate(&self, locality: &LocalityProfile, capacity_bytes: u64) -> f64 {
         assert!(capacity_bytes > 0, "capacity must be positive");
-        // Keyed on the raw fields, not on `locality_key`: that hash omits
-        // the stride, which the address stream reads.
-        let key = [
-            locality.hot_bytes(),
-            locality.warm_bytes(),
-            locality.footprint_bytes(),
-            locality.hot_fraction().to_bits(),
-            locality.warm_fraction().to_bits(),
-            locality.pointer_chase().to_bits(),
-            locality.stream_stride(),
-            capacity_bytes,
-        ];
-        self.single_flight(key, || simulate_miss_rate(locality, capacity_bytes))
+        self.single_flight(estimate_key(locality, capacity_bytes), || {
+            let (rate, accesses) = simulate_miss_rate(locality, capacity_bytes);
+            self.accesses.fetch_add(accesses, Ordering::Relaxed);
+            rate
+        })
     }
 
     /// Simulations this estimator has run to completion: one per distinct
@@ -242,6 +235,43 @@ impl MissRateEstimator {
     #[must_use]
     pub fn estimates_computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
+    }
+
+    /// Accesses simulated by the estimates computed: each one's warm-up
+    /// plus its sample. An exact count of the kernel's work.
+    #[must_use]
+    pub fn accesses_simulated(&self) -> u64 {
+        self.accesses.load(Ordering::Relaxed)
+    }
+
+    /// Every finished estimate the memo holds, as (profile, capacity in
+    /// bytes, miss rate), in key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker panicked while holding the memo's lock.
+    #[must_use]
+    pub fn estimates(&self) -> Vec<(LocalityProfile, u64, f64)> {
+        let memo = self
+            .memo
+            .lock()
+            .expect("no estimator panics holding its lock");
+        memo.rates
+            .iter()
+            .map(|(key, &rate)| {
+                let [hot, warm, total, hot_fraction, warm_fraction, chase, stride, capacity] = *key;
+                let profile = LocalityProfile::hierarchical(
+                    hot,
+                    warm,
+                    total,
+                    f64::from_bits(hot_fraction),
+                    f64::from_bits(warm_fraction),
+                )
+                .with_pointer_chase(f64::from_bits(chase))
+                .with_stream_stride(stride);
+                (profile, capacity, rate)
+            })
+            .collect()
     }
 
     /// Lookups that found their estimate in flight on another worker and
@@ -288,6 +318,22 @@ impl MissRateEstimator {
     }
 }
 
+/// The memo key of an estimate. Keyed on the raw fields, not on
+/// `locality_key`: that hash omits the stride, which the address stream
+/// reads. [`MissRateEstimator::estimates`] reads a profile back from it.
+fn estimate_key(locality: &LocalityProfile, capacity_bytes: u64) -> EstimateKey {
+    [
+        locality.hot_bytes(),
+        locality.warm_bytes(),
+        locality.footprint_bytes(),
+        locality.hot_fraction().to_bits(),
+        locality.warm_fraction().to_bits(),
+        locality.pointer_chase().to_bits(),
+        locality.stream_stride(),
+        capacity_bytes,
+    ]
+}
+
 /// A stable hash of the locality profile's defining fields: the seed of
 /// the sampled address stream. It omits the stride, so it is not a memo
 /// key; it stays as it is because every estimate's stream derives from it.
@@ -323,8 +369,13 @@ fn sampled_cache(locality: &LocalityProfile, capacity_bytes: u64) -> (u64, Local
     (size - size % set_bytes, profile)
 }
 
+/// Addresses the kernel generates, then runs through its array, per block.
+const BLOCK: usize = 256;
+
 /// The estimator's kernel: the stream, warm-up and sample of
 /// [`simulate_miss_rate_reference`] through a private 8-way LRU array.
+/// Returns the miss rate and the accesses simulated (warm-up plus
+/// sample).
 ///
 /// Each set is its tags in recency order: a hit moves its tag to the
 /// front, a miss inserts at the front and drops the last. LRU hits and
@@ -332,44 +383,73 @@ fn sampled_cache(locality: &LocalityProfile, capacity_bytes: u64) -> (u64, Local
 /// holds them, so this array hits and misses exactly where [`Cache`]
 /// does. A set's tag is the whole line number (unique within the set),
 /// and the set index is a mask when the set count is a power of two.
-fn simulate_miss_rate(locality: &LocalityProfile, capacity_bytes: u64) -> f64 {
+///
+/// The stream and the array run as two loops over each block of
+/// addresses: [`AddressStream::fill`] keeps the generator in registers,
+/// and the array's update has no data-dependent branch for a hit
+/// position that is hard to predict.
+fn simulate_miss_rate(locality: &LocalityProfile, capacity_bytes: u64) -> (f64, u64) {
     let (size, profile) = sampled_cache(locality, capacity_bytes);
     let sets = size / (LINE * WAYS as u64);
     let mask = sets.is_power_of_two().then(|| sets - 1);
     let mut tags = vec![[u64::MAX; WAYS]; sets as usize];
-    // Returns whether the access hit.
-    let mut access = |addr: u64| {
-        let line = addr / LINE;
+    // Returns whether the access to `line` hit.
+    let mut access = |line: u64| {
         let set = match mask {
             Some(mask) => line & mask,
             None => line % sets,
         };
-        let ways = &mut tags[set as usize];
-        let mut carry = line;
-        for way in ways.iter_mut() {
-            let held = std::mem::replace(way, carry);
-            if held == line {
-                return true;
-            }
-            carry = held;
-        }
-        false
+        touch(&mut tags[set as usize], line)
     };
 
+    let warm_accesses = (size / LINE) * WARMUP_FACTOR;
     let mut rng = SplitMix64::new(0x5eed_cafe ^ locality_key(&profile));
-    profile
-        .address_stream(&mut rng)
-        .take(((size / LINE) * WARMUP_FACTOR) as usize)
-        .for_each(|a| {
-            access(a);
-        });
+    run_blocks(&mut profile.address_stream(&mut rng), warm_accesses, &mut access);
     let mut rng2 = rng.split(1);
-    let misses = profile
-        .address_stream(&mut rng2)
-        .take(SAMPLE_ACCESSES as usize)
-        .filter(|&a| !access(a))
-        .count();
-    misses as f64 / SAMPLE_ACCESSES as f64
+    let misses = run_blocks(&mut profile.address_stream(&mut rng2), SAMPLE_ACCESSES, &mut access);
+    (misses as f64 / SAMPLE_ACCESSES as f64, warm_accesses + SAMPLE_ACCESSES)
+}
+
+/// Runs the stream's next `accesses` addresses through `access`, a block
+/// at a time; returns the misses.
+fn run_blocks(
+    stream: &mut AddressStream<'_, SplitMix64>,
+    accesses: u64,
+    mut access: impl FnMut(u64) -> bool,
+) -> u64 {
+    let mut block = [0; BLOCK];
+    let mut misses = 0;
+    let mut left = accesses;
+    while left > 0 {
+        let block = &mut block[..left.min(BLOCK as u64) as usize];
+        stream.fill(block);
+        for &addr in &*block {
+            misses += u64::from(!access(addr / LINE));
+        }
+        left -= block.len() as u64;
+    }
+    misses
+}
+
+/// One access to a recency-ordered set; returns whether it hit.
+///
+/// The ways before the hit, or all of them on a miss, move back one and
+/// the line takes the front: a miss drops the last way, and a hit
+/// overwrites its own. The hit is an 8-way compare mask, and way `i`
+/// keeps its tag exactly when the mask has a bit below `i`, so each way
+/// is a select, not a branch.
+fn touch(ways: &mut [u64; WAYS], line: u64) -> bool {
+    let mut hits = 0u32;
+    for (i, &tag) in ways.iter().enumerate() {
+        hits |= u32::from(tag == line) << i;
+    }
+    let old = *ways;
+    for i in 1..WAYS {
+        let keep = hits & ((1 << i) - 1) != 0;
+        ways[i] = if keep { old[i] } else { old[i - 1] };
+    }
+    ways[0] = line;
+    hits != 0
 }
 
 /// The estimator's oracle: the sampled simulation through the general
@@ -568,6 +648,29 @@ mod tests {
         assert_eq!(warm_sparse.to_bits(), fresh_sparse.to_bits());
         assert_eq!(warm_unit, 1.0, "unit-stride streaming misses every line");
         assert!(fresh_sparse < 0.2, "eight words per line: {fresh_sparse}");
+    }
+
+    #[test]
+    fn the_memo_lists_each_estimate_and_counts_its_accesses_once() {
+        let hot = LocalityProfile::hierarchical(4096, 8192, 1 << 20, 0.6, 0.3)
+            .with_pointer_chase(0.25)
+            .with_stream_stride(128);
+        let chase = LocalityProfile::pointer_chasing(64 << 20);
+        let est = MissRateEstimator::new();
+        let small = est.global_miss_rate(&hot, 32 << 10);
+        let big = est.global_miss_rate(&chase, 8 << 20);
+        let again = est.global_miss_rate(&hot, 32 << 10);
+        assert_eq!(small.to_bits(), again.to_bits());
+        // 512 lines warm up four times each; 8 MiB is sampled as 4,096
+        // lines. A memo hit simulates nothing.
+        let warm = |lines: u64| lines * WARMUP_FACTOR + SAMPLE_ACCESSES;
+        assert_eq!(est.accesses_simulated(), warm(512) + warm(4096));
+        let mut listed = est.estimates();
+        listed.sort_by_key(|&(_, capacity, _)| capacity);
+        assert_eq!(
+            listed.iter().map(|&(p, c, r)| (p, c, r.to_bits())).collect::<Vec<_>>(),
+            [(hot, 32 << 10, small.to_bits()), (chase, 8 << 20, big.to_bits())]
+        );
     }
 
     /// Runs `workers` threads that each ask `est` for key `key` at once,
