@@ -473,7 +473,11 @@ impl Orchestrator {
     /// resolve and are journaled (the drain path calls this before
     /// closing the queue).
     pub fn stop(&self) {
+        // Set under the registry lock, so a scheduler about to wait
+        // either sees the flag or is already waiting for this notify.
+        let reg = self.inner.lock().expect("campaign registry lock");
         self.stopping.store(true, Ordering::Relaxed);
+        drop(reg);
         self.wake.notify_all();
     }
 
@@ -483,14 +487,23 @@ impl Orchestrator {
         self.stopping.load(Ordering::Relaxed)
     }
 
-    /// Parks the scheduler thread until new work may exist or `timeout`
-    /// passes (retry backoffs and quota refills need the periodic poll).
+    /// Parks the scheduler thread until new work may exist: at most
+    /// `timeout` while a campaign is `Queued` or `Running` (retry
+    /// backoffs and quota refills need the periodic poll), otherwise
+    /// until `submit`, `resume` or `stop` notifies.
     pub fn wait_for_work(&self, timeout: Duration) {
-        let guard = self.inner.lock().expect("campaign registry lock");
-        let _unused = self
-            .wake
-            .wait_timeout(guard, timeout)
-            .expect("campaign registry lock");
+        let reg = self.inner.lock().expect("campaign registry lock");
+        if self.stopping() {
+            return;
+        }
+        if reg.campaigns.iter().any(Campaign::dispatchable) {
+            let _unused = self
+                .wake
+                .wait_timeout(reg, timeout)
+                .expect("campaign registry lock");
+        } else {
+            let _unused = self.wake.wait(reg).expect("campaign registry lock");
+        }
     }
 
     // -----------------------------------------------------------------

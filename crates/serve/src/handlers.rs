@@ -1,7 +1,8 @@
 //! Request routing and endpoint handlers.
 //!
-//! Cheap endpoints (`/healthz`, `/metrics`, `/v1/artifacts`, admin)
-//! answer inline. Expensive endpoints -- anything that runs the
+//! Cheap endpoints (`/healthz`, `/v1/artifacts`) answer inline; the
+//! front end answers metrics, trace search and the drain
+//! ([`crate::front`]). Expensive endpoints -- anything that runs the
 //! measurement engine -- go through the [`FlightBoard`]: requests for
 //! the same cell coalesce onto one computation, capacity and deadline
 //! policies bound the worst case, and the rendered body is shared so
@@ -15,18 +16,18 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lhr_core::cache::{config_fingerprint, workload_fingerprint};
 use lhr_core::{experiments::pareto, Evaluation, Harness, MeasureHealth};
-use lhr_obs::{context, prom, push_json_number, push_json_string, AlertState, Obs};
+use lhr_obs::{context, push_json_number, push_json_string, AlertState, Obs};
 use lhr_uarch::{ChipConfig, ProcessorId};
 use lhr_units::Hertz;
 use lhr_workloads::Group;
 
 use crate::coalesce::{FlightBoard, Join, JoinError};
+use crate::front::Drain;
 use crate::http::{Method, Request, Response};
 use crate::telemetry::Telemetry;
 
@@ -54,8 +55,8 @@ pub struct ServeState {
     /// resolves is recorded into it through the [`lhr_core::CellSink`]
     /// hook; `None` means the query endpoint answers `503`.
     pub store: Option<Arc<lhr_store::Store>>,
-    /// Set by `POST /admin/drain`; the accept loop polls it.
-    pub draining: AtomicBool,
+    /// The front end's drain switch; `/healthz` reports it.
+    pub drain: Arc<Drain>,
     /// Server start time, for `/healthz` uptime.
     pub started: Instant,
 }
@@ -83,34 +84,24 @@ pub fn endpoint_tag(req: &Request) -> &'static str {
     }
 }
 
-/// Dispatches one parsed request to its handler.
+/// Dispatches one parsed request to its handler. The front end answers
+/// the endpoints the server and the router share (`/metrics`,
+/// `/v1/metrics`, `/v1/metrics/timeseries`, `POST /admin/drain`,
+/// `/v1/traces`, `/v1/trace/<id>`) before it calls this.
 #[must_use]
 pub fn route(state: &Arc<ServeState>, req: &Request) -> Response {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/healthz") => healthz(state),
-        // `/metrics` is the legacy text profile; `/v1/metrics` adds
-        // content negotiation (Prometheus exposition on request).
-        (Method::Get, "/metrics" | "/v1/metrics") => metrics(state, req),
-        (Method::Get, "/v1/metrics/timeseries") => {
-            let mut body = state.telemetry.timeseries.snapshot().render_json();
-            body.push('\n');
-            Response::ok_json(body)
-        }
         (Method::Get, "/v1/cell") => cell(state, req),
         (Method::Get, "/v1/sweep") => sweep(state, req),
         (Method::Get, "/v1/pareto") => pareto_endpoint(state, req),
         (Method::Get, "/v1/findings") => findings(state),
         (Method::Post | Method::Get, "/v1/query") => query_endpoint(state, req),
-        (Method::Get, "/v1/traces") => traces_search(state, req),
-        (Method::Get, p) if p.starts_with("/v1/trace/") => {
-            trace_by_id(state, &p["/v1/trace/".len()..], req)
-        }
         (Method::Get, "/v1/artifacts") => artifact_index(state),
         (Method::Get, p) if p.starts_with("/v1/artifacts/") => {
             artifact(state, &p["/v1/artifacts/".len()..])
         }
         (_, p) if p.starts_with("/v1/campaigns") => crate::campaigns::handle(state, req),
-        (Method::Post, "/admin/drain") => drain(state),
         (_, "/admin/drain") => Response::error(405, "method_not_allowed", "drain is POST-only"),
         (Method::Post, _) => Response::error(
             405,
@@ -146,7 +137,7 @@ fn healthz(state: &Arc<ServeState>) -> Response {
     body.push_str(",\"cached_cells\":");
     push_json_number(&mut body, state.harness.runner().cell_cache().len() as f64);
     body.push_str(",\"draining\":");
-    body.push_str(if state.draining.load(Ordering::Relaxed) {
+    body.push_str(if state.drain.requested() {
         "true"
     } else {
         "false"
@@ -195,35 +186,6 @@ fn healthz(state: &Arc<ServeState>) -> Response {
     body.push_str(&state.campaigns.healthz_json());
     body.push_str("}\n");
     Response::ok_json(body)
-}
-
-/// `/metrics` and `/v1/metrics`: the lifetime aggregates, as the
-/// human-readable text profile by default, or as a Prometheus text
-/// exposition (format 0.0.4) when the client asks -- via
-/// `?format=prometheus` or an `Accept` header naming `text/plain`
-/// (what a Prometheus scraper sends).
-fn metrics(state: &Arc<ServeState>, req: &Request) -> Response {
-    let snap = state.telemetry.snapshot();
-    let wants_prometheus = req.param("format") == Some("prometheus")
-        || req
-            .header("accept")
-            .is_some_and(|accept| accept.contains("text/plain"));
-    if wants_prometheus {
-        Response {
-            status: 200,
-            content_type: prom::CONTENT_TYPE,
-            body: prom::render_prometheus(&snap).into_bytes(),
-            retry_after: None,
-        }
-    } else {
-        Response::ok_text(snap.render())
-    }
-}
-
-fn drain(state: &Arc<ServeState>) -> Response {
-    state.draining.store(true, Ordering::Relaxed);
-    state.obs.counter("serve.drain_requests", 1);
-    Response::ok_json("{\"draining\":true}\n".to_owned())
 }
 
 /// Runs `compute` under the single-flight board and waits for the body.
@@ -737,64 +699,6 @@ fn query_endpoint(state: &Arc<ServeState>, req: &Request) -> Response {
             &format!("format must be json or text, got {other:?}"),
         ),
     }
-}
-
-// ---------------------------------------------------------------------
-// /v1/traces and /v1/trace/<id>
-// ---------------------------------------------------------------------
-
-fn span_store_unavailable() -> Response {
-    Response::error(
-        503,
-        "span_store_unavailable",
-        "this server runs without a span store; boot with --span-store to enable trace search",
-    )
-}
-
-/// `GET /v1/traces?name=<substr>&status=error&min_dur_ns=N&limit=N`:
-/// searches the span table and returns per-trace summaries, newest
-/// first. Answers from the in-memory mirror of the table -- no disk
-/// reads, no engine work.
-fn traces_search(state: &Arc<ServeState>, req: &Request) -> Response {
-    let Some(spans) = state.telemetry.spans.as_ref() else {
-        return span_store_unavailable();
-    };
-    let query = lhr_store::SpanQuery {
-        name: req.param("name").unwrap_or("").to_owned(),
-        errors_only: req.param("status") == Some("error"),
-        min_dur_ns: req
-            .param("min_dur_ns")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        limit: req.param("limit").and_then(|v| v.parse().ok()).unwrap_or(50),
-    };
-    let mut body = lhr_store::summaries_json(&spans.table().search(&query));
-    body.push('\n');
-    Response::ok_json(body)
-}
-
-/// `GET /v1/trace/<32-hex-id>`: the stitched span tree of one trace.
-/// `?format=fragment` returns this process's raw rows instead -- what
-/// the router fetches from each backend before stitching the
-/// multi-process view itself.
-fn trace_by_id(state: &Arc<ServeState>, id: &str, req: &Request) -> Response {
-    let Some(spans) = state.telemetry.spans.as_ref() else {
-        return span_store_unavailable();
-    };
-    let Ok(trace) = u128::from_str_radix(id.trim(), 16) else {
-        return Response::error(400, "bad_trace_id", "trace id must be hex (32 digits)");
-    };
-    let rows = spans.table().trace_rows(trace);
-    if rows.is_empty() {
-        return Response::error(404, "no_such_trace", "no persisted spans for that trace id");
-    }
-    let mut body = if req.param("format") == Some("fragment") {
-        lhr_store::fragment_json(trace, &rows)
-    } else {
-        lhr_store::tree_json(trace, &lhr_store::stitch(&rows))
-    };
-    body.push('\n');
-    Response::ok_json(body)
 }
 
 // ---------------------------------------------------------------------

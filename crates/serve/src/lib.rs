@@ -8,6 +8,11 @@
 //!
 //! What the serving layer adds over the raw harness:
 //!
+//! * **One front end** -- the server and the router share one HTTP
+//!   front end: an accept thread that blocks in `accept` (an idle
+//!   process does not poll), admission, the worker pool, the
+//!   connection handler with its RED metrics, the endpoints both answer
+//!   alike, and the drain ([`front`]).
 //! * **Admission control** -- a fixed worker pool behind a bounded
 //!   queue; when the queue is full the accept thread sheds with
 //!   `503 + Retry-After` instead of letting latency grow unboundedly
@@ -23,7 +28,9 @@
 //!   warms the cache (abandon, never kill).
 //! * **Graceful drain** -- `SIGINT`/`SIGTERM` or `POST /admin/drain`
 //!   stops admission, serves everything already accepted, flushes the
-//!   trace, and exits 0 ([`signal`], [`server`]).
+//!   trace, and exits 0. A drain wakes the blocked accept by connecting
+//!   to the listener; a watcher turns a signal into such a drain
+//!   ([`signal`], [`front`]).
 //!
 //! * **Campaign orchestration** -- `POST /v1/campaigns` runs whole
 //!   sweep campaigns *inside* the server: a fair-share scheduler
@@ -101,6 +108,7 @@
 
 pub mod campaigns;
 pub mod coalesce;
+pub mod front;
 pub mod handlers;
 pub mod http;
 pub mod httpc;

@@ -1,39 +1,36 @@
-//! The server itself: accept loop, worker pool, and graceful drain.
+//! The measurement server: its state, its campaign scheduler, and the
+//! `Service` that puts both behind the shared front end
+//! ([`crate::front`]).
 //!
 //! ```text
-//!             accept thread (admission control)
-//!   TCP ──► try_push ──► BoundedQueue ──► worker pool (N threads)
-//!                │ full                        │
-//!                └──► 503 + Retry-After        ├─ parse (400 on garbage)
-//!                                              ├─ route (FlightBoard for
-//!                                              │         expensive work)
-//!                                              └─ write response
+//!   front end ──► BoundedQueue ──► worker pool (N threads)
+//!                   ▲   interactive lane: connections, routed by
+//!                   │   `handlers::route` (FlightBoard for expensive work)
+//!                   └── background lane: campaign cells, fed by the
+//!                       campaign scheduler
 //! ```
 //!
 //! Shutdown is a *drain*, never an abort: on `SIGINT`/`SIGTERM` or
-//! `POST /admin/drain` the accept loop stops admitting, the queue
-//! closes, every already-admitted connection is served to completion,
+//! `POST /admin/drain` the front end stops admitting, the campaigns
+//! stop and the scheduler joins, the queue closes, every
+//! already-admitted connection and queued cell is served to completion,
 //! the workers exit, the observer flushes, and [`ServerHandle::wait`]
 //! returns so the process can exit 0.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lhr_core::Harness;
-use lhr_obs::context::{self, Ctx};
+use lhr_obs::Obs;
 
 use crate::campaigns::{self, CellTask, Orchestrator};
 use crate::coalesce::FlightBoard;
-use crate::handlers::{endpoint_tag, route, ServeState};
-use crate::http::{read_request, HttpError, Response};
-use crate::queue::{BoundedQueue, PushError, ShedPool};
-use crate::signal;
+use crate::front::{self, Handle, Service, Settings, Work};
+use crate::handlers::{self, endpoint_tag, ServeState};
+use crate::http::{Request, Response};
+use crate::queue::{BoundedQueue, PushError};
 use crate::telemetry::Telemetry;
 
 /// Tuning knobs for one server instance.
@@ -95,72 +92,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running server; dropping it (or calling [`ServerHandle::wait`]
-/// after a drain) shuts it down gracefully.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    state: Arc<ServeState>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared state (tests inspect the flight board and cache).
-    #[must_use]
-    pub fn state(&self) -> &Arc<ServeState> {
-        &self.state
-    }
-
-    /// Requests a drain from process context, same as `POST
-    /// /admin/drain`.
-    pub fn drain(&self) {
-        self.state.draining.store(true, Ordering::Relaxed);
-    }
-
-    /// Blocks until the server has fully drained: accept loop stopped,
-    /// queue emptied, all workers exited, observer flushed.
-    pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.drain();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-/// One admitted connection, queued for a worker: the socket plus the
-/// trace request id minted for it at accept time, so everything the
-/// request causes -- parsing, routing, coalesced computation, engine
-/// work -- carries one causal id from the first byte.
-#[derive(Debug)]
-struct Admitted {
-    stream: TcpStream,
-    request: u64,
-}
-
-/// One unit of work for the pool: an admitted connection (interactive
-/// lane) or a campaign cell (background lane). The queue's lane order
-/// makes the priority structural -- a worker only measures a campaign
-/// cell when no interactive request is waiting.
-#[derive(Debug)]
-enum Work {
-    Conn(Admitted),
-    Cell(CellTask),
-}
-
 /// Boots a server over `harness`. The harness's runner should carry a
 /// bounded [`lhr_core::ShardedLruCache`] (serving is open-ended, unlike
 /// a campaign) and an observer armed from `telemetry.obs()`, so engine
@@ -176,9 +107,7 @@ pub fn start(
     harness: Harness,
     telemetry: Telemetry,
 ) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
+    let (listener, drain) = front::bind(&config.addr)?;
     // Open (or create) the measurement store before the harness is
     // frozen into the shared state: the store doubles as the harness's
     // cell sink, so every cell any endpoint resolves is recorded.
@@ -201,7 +130,7 @@ pub fn start(
         max_cell: config.max_cell,
         campaigns: Orchestrator::new(config.campaign_dir.clone(), config.campaign_inflight),
         store,
-        draining: AtomicBool::new(false),
+        drain: Arc::clone(&drain),
         started: Instant::now(),
     });
     if config.resume_campaigns {
@@ -210,45 +139,10 @@ pub fn start(
             state.obs.counter("campaign.boot_resumed", resumed as u64);
         }
     }
-    let queue = Arc::new(BoundedQueue::<Work>::with_lanes(
+    let queue = Arc::new(BoundedQueue::with_lanes(
         config.queue_depth,
         config.campaign_lane_depth,
     ));
-
-    let workers: Vec<JoinHandle<()>> = (0..config.jobs.max(1))
-        .map(|i| {
-            let queue = Arc::clone(&queue);
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name(format!("lhr-serve-worker-{i}"))
-                .spawn(move || {
-                    while let Some(work) = queue.pop() {
-                        state.obs.gauge("serve.queue_depth", queue.len() as f64);
-                        // A panicking handler must cost one response (or
-                        // one cell), never the worker: contain it and
-                        // keep serving.
-                        let survived = catch_unwind(AssertUnwindSafe(|| match work {
-                            Work::Conn(admitted) => context::with_ctx(
-                                Ctx {
-                                    request: admitted.request,
-                                    parent: 0,
-                                    // The distributed trace is joined (or
-                                    // minted) once the request line and
-                                    // its `x-lhr-trace` header are parsed.
-                                    trace: 0,
-                                },
-                                || serve_connection(&state, admitted.stream),
-                            ),
-                            Work::Cell(task) => campaigns::execute(&state, task),
-                        }));
-                        if survived.is_err() {
-                            state.obs.counter("serve.worker_panics_contained", 1);
-                        }
-                    }
-                })
-                .expect("spawn worker")
-        })
-        .collect();
 
     // The campaign scheduler feeds the background lane: it picks the
     // next cell under the fair-share policy and enqueues it, backing
@@ -260,10 +154,10 @@ pub fn start(
         .spawn(move || {
             while !sched_state.campaigns.stopping() {
                 while let Some(task) = sched_state.campaigns.next_cell(&sched_state.obs) {
-                    match sched_queue.try_push_background(Work::Cell(task)) {
+                    match sched_queue.try_push_background(Work::Task(task)) {
                         Ok(()) => {}
                         Err(PushError::Full(work) | PushError::Closed(work)) => {
-                            if let Work::Cell(task) = work {
+                            if let Work::Task(task) = work {
                                 sched_state.campaigns.requeue(task);
                             }
                             break;
@@ -277,194 +171,57 @@ pub fn start(
         })
         .expect("spawn campaign scheduler");
 
-    let accept_state = Arc::clone(&state);
-    let accept_queue = Arc::clone(&queue);
-    let read_timeout = config.read_timeout;
-    let shed_pool = ShedPool::new(config.shed_writers, config.shed_depth);
-    let accept = std::thread::Builder::new()
-        .name("lhr-serve-accept".to_owned())
-        .spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_queue, &shed_pool, read_timeout);
-            // Drain: no new admissions, stop scheduling new campaign
-            // cells (already-queued cells still run and journal, so a
-            // restart resumes from exactly where the drain cut), serve
-            // what is queued, stop the pool, seal the final time-series
-            // bucket, then flush the trace so the shutdown is
-            // observable.
-            accept_state.campaigns.stop();
-            let _ = scheduler.join();
-            accept_queue.close();
-            for w in workers {
-                let _ = w.join();
-            }
-            shed_pool.shutdown();
-            accept_state.obs.counter("serve.drained", 1);
-            accept_state.telemetry.timeseries.seal_all();
-            accept_state.obs.flush();
-        })
-        .expect("spawn accept loop");
-
-    Ok(ServerHandle {
-        addr,
-        state,
-        accept: Some(accept),
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<ServeState>,
-    queue: &Arc<BoundedQueue<Work>>,
-    shed_pool: &ShedPool,
-    read_timeout: Duration,
-) {
-    // Adaptive poll: for a short window after any accept the loop
-    // yields instead of sleeping, so back-to-back requests (the common
-    // shape: a client train, a benchmark, a proxy in front) are picked
-    // up in microseconds; once the window expires an idle listener
-    // costs one short sleep per poll, not a spinning core.
-    let mut hot_until = Instant::now();
-    loop {
-        if state.draining.load(Ordering::Relaxed) || signal::drain_requested() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                hot_until = Instant::now() + Duration::from_millis(2);
-                // The listener is non-blocking so the drain flag is
-                // polled; accepted connections must block normally.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(read_timeout));
-                let _ = stream.set_nodelay(true);
-                state.obs.counter("serve.accepted", 1);
-                // The trace request id is minted here, at admission:
-                // even time spent queued is inside the request's story.
-                let admitted = Admitted {
-                    stream,
-                    request: context::next_request_id(),
-                };
-                match queue.try_push(Work::Conn(admitted)) {
-                    Ok(()) => state.obs.gauge("serve.queue_depth", queue.len() as f64),
-                    Err(PushError::Full(work) | PushError::Closed(work)) => {
-                        // Admission control: shed *now*, from the accept
-                        // thread, with a backoff hint -- queueing it
-                        // anyway is how latency collapses under load.
-                        // The bounded shed pool writes the 503; if even
-                        // that backlog is full, the connection is
-                        // dropped (counted), never left to block the
-                        // accept thread.
-                        let Work::Conn(admitted) = work else {
-                            unreachable!("accept loop only pushes connections")
-                        };
-                        state.obs.counter("serve.shed_503", 1);
-                        let response = if queue.is_closed() {
-                            Response::overloaded("server draining", 5)
-                        } else {
-                            Response::overloaded("request queue full", 1)
-                        };
-                        if !shed_pool.try_shed(admitted.stream, response) {
-                            state.obs.counter("serve.shed_dropped", 1);
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // The poll interval is a floor on connection latency: a
-                // fresh connection waits for the sleep to expire before
-                // accept() even sees it, and timer slack stretches short
-                // sleeps to several ms on small VMs -- so yield while
-                // hot, and poll in microseconds (not milliseconds) when
-                // idle.
-                if Instant::now() < hot_until {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-            Err(_) => std::thread::sleep(Duration::from_micros(200)),
-        }
-    }
-}
-
-/// Serves exactly one request on one connection (`Connection: close`
-/// protocol: parse, route, respond), recording the endpoint's RED
-/// metrics (rate `serve.req.<tag>`, errors `serve.err.<tag>`, duration
-/// `serve.latency.<tag>` in seconds) and feeding the request's outcome
-/// to the SLO tracker.
-fn serve_connection(state: &Arc<ServeState>, stream: TcpStream) {
-    let started = Instant::now();
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    // Drain: no new admissions, stop scheduling new campaign cells
+    // (already-queued cells still run and journal, so a restart resumes
+    // from exactly where the drain cut), then the front end serves what
+    // is queued and stops the pool.
+    let stop_state = Arc::clone(&state);
+    let stop_campaigns = move || {
+        stop_state.campaigns.stop();
+        let _ = scheduler.join();
     };
-    let mut reader = BufReader::new(stream);
-    match read_request(&mut reader) {
-        Ok(req) => {
-            // Join the distributed trace the caller propagated over
-            // `x-lhr-trace`, or mint a fresh one: every request carries
-            // a trace from here on, so spans, RED samples (exemplars),
-            // and campaign cells it causes are all linkable. A hostile
-            // or truncated header is counted and ignored -- never a 400.
-            let ctx = match req.header("x-lhr-trace").map(context::parse_trace_header) {
-                Some(Some((trace, parent, _flags))) => Ctx {
-                    request: context::current_request(),
-                    parent,
-                    trace,
-                },
-                header => {
-                    if header.is_some() {
-                        state.obs.counter("trace.header_invalid", 1);
-                    }
-                    Ctx {
-                        request: context::current_request(),
-                        parent: 0,
-                        trace: context::next_trace_id(),
-                    }
-                }
-            };
-            context::with_ctx(ctx, || {
-                state.obs.counter("serve.requests", 1);
-                let tag = endpoint_tag(&req);
-                let span_name = format!("serve.request.{tag}");
-                let mut span = state.obs.span(&span_name);
-                let response = catch_unwind(AssertUnwindSafe(|| route(state, &req)))
-                    .unwrap_or_else(|_| {
-                        Response::error(500, "handler_panic", "handler panicked; see /metrics")
-                    });
-                if response.status >= 500 {
-                    span.fail();
-                }
-                span.end();
-                if response.status >= 400 {
-                    state
-                        .obs
-                        .counter(&format!("serve.http_{}", response.status), 1);
-                }
-                let _ = response.write_to(&mut writer);
-                let latency = started.elapsed().as_secs_f64();
-                let is_error = response.status >= 500;
-                state.obs.counter(&format!("serve.req.{tag}"), 1);
-                if is_error {
-                    state.obs.counter(&format!("serve.err.{tag}"), 1);
-                }
-                state.obs.histogram(&format!("serve.latency.{tag}"), latency);
-                state.telemetry.slo.observe(is_error, latency, &state.obs);
-            });
-        }
-        Err(HttpError::BadRequest(detail)) => {
-            state.obs.counter("serve.http_400", 1);
-            let _ = Response::error(400, "bad_request", &detail).write_to(&mut writer);
-        }
-        Err(HttpError::TimedOut) => {
-            // Slowloris guard: the socket read timeout fired before a
-            // full request arrived. Tell the client (best effort) and
-            // free the worker.
-            state.obs.counter("serve.timeout", 1);
-            let _ = Response::error(408, "request_timeout", "idle connection timed out")
-                .write_to(&mut writer);
-        }
-        Err(HttpError::Disconnected) => {
-            state.obs.counter("serve.disconnects", 1);
-        }
+    let settings = Settings {
+        jobs: config.jobs,
+        read_timeout: config.read_timeout,
+        shed_writers: config.shed_writers,
+        shed_depth: config.shed_depth,
+    };
+    Ok(front::serve(
+        listener,
+        drain,
+        state,
+        queue,
+        settings,
+        stop_campaigns,
+        || {},
+    ))
+}
+
+/// A running server.
+pub type ServerHandle = Handle<ServeState>;
+
+impl Service for ServeState {
+    const PREFIX: &'static str = "serve";
+    const QUEUE_DEPTH: Option<&'static str> = Some("serve.queue_depth");
+    type Task = CellTask;
+
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn tag(req: &Request) -> &'static str {
+        endpoint_tag(req)
+    }
+
+    fn route(state: &Arc<Self>, req: &Request) -> Response {
+        handlers::route(state, req)
+    }
+
+    fn run(state: &Arc<Self>, task: CellTask) {
+        campaigns::execute(state, task);
     }
 }

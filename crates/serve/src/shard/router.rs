@@ -28,34 +28,41 @@
 //! its target alone, so posted queries read one backend's store.
 //! Campaign endpoints are deliberately not sharded (a campaign journals
 //! on one node); they answer `501`.
+//!
+//! The router serves through the same front end as a backend
+//! ([`crate::front`]): accept, admission, worker pool, connection
+//! handling, the metrics, drain and trace-search endpoints, and the
+//! drain itself. This module adds only what a router does: its route
+//! function and endpoint tag, `/healthz`, `POST /admin/backends`,
+//! forwarding with hedging and breakers, the health prober, and the
+//! stitching of backend trace fragments into `/v1/trace/<id>`.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::convert::Infallible;
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lhr_core::cache::config_fingerprint;
 use lhr_core::Harness;
-use lhr_obs::context::{self, Ctx};
+use lhr_obs::context;
 use lhr_obs::{prom, push_json_number, push_json_string, Obs};
 use lhr_store::SpanRow;
 
 use crate::campaigns::Orchestrator;
 use crate::coalesce::FlightBoard;
+use crate::front::{self, Drain, Handle, Service, Settings};
 use crate::handlers::{self, build_config, chip_by_token, endpoint_tag, ServeState};
-use crate::http::{read_request, HttpError, Method, Request, Response};
+use crate::http::{Method, Request, Response};
 use crate::httpc::{self, HttpResponse};
-use crate::queue::{BoundedQueue, PushError, ShedPool};
+use crate::queue::BoundedQueue;
 use crate::shard::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 use crate::shard::health::{HealthFsm, HealthPolicy, HealthState};
 use crate::shard::ring::{hash_key, mix64, HashRing};
-use crate::signal;
 use crate::telemetry::Telemetry;
 
 /// Tuning knobs for one router instance.
@@ -252,7 +259,8 @@ pub struct RouterState {
     fallback: Option<Arc<ServeState>>,
     obs: Obs,
     telemetry: Telemetry,
-    draining: AtomicBool,
+    drain: Arc<Drain>,
+    /// Set by the drain once the workers have exited; stops the prober.
     stopped: AtomicBool,
     started: Instant,
 }
@@ -284,50 +292,6 @@ impl RouterState {
     }
 }
 
-/// A running router; dropping it (or [`RouterHandle::wait`] after a
-/// drain) shuts it down gracefully.
-#[derive(Debug)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address (resolves port 0).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared state.
-    #[must_use]
-    pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
-    }
-
-    /// Requests a drain, same as `POST /admin/drain`.
-    pub fn drain(&self) {
-        self.state.draining.store(true, Ordering::Relaxed);
-    }
-
-    /// Blocks until the router has fully drained.
-    pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.drain();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
 /// Boots a router. `fallback` arms graceful degradation: when every
 /// candidate backend for a key is unreachable, the router computes the
 /// answer on this harness instead of surfacing a 5xx. The harness's
@@ -342,9 +306,7 @@ pub fn start_router(
     fallback: Option<Harness>,
     telemetry: Telemetry,
 ) -> io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
+    let (listener, drain) = front::bind(&config.addr)?;
     let obs = telemetry.obs();
     let fallback = fallback.map(|harness| {
         Arc::new(ServeState {
@@ -359,7 +321,7 @@ pub fn start_router(
                 1,
             ),
             store: None,
-            draining: AtomicBool::new(false),
+            drain: Arc::default(),
             started: Instant::now(),
         })
     });
@@ -370,122 +332,124 @@ pub fn start_router(
         fallback,
         obs,
         telemetry,
-        draining: AtomicBool::new(false),
+        drain: Arc::clone(&drain),
         stopped: AtomicBool::new(false),
         started: Instant::now(),
         config,
     });
 
     // The health prober: one round immediately (a fresh topology is
-    // all-Suspect until proven), then every probe_interval.
+    // all-Suspect until proven), then every probe_interval, parked in
+    // between; the drain unparks it to stop it.
     let probe_state = Arc::clone(&state);
     let prober = std::thread::Builder::new()
         .name("lhr-router-prober".to_owned())
         .spawn(move || {
-            while !probe_state.stopped.load(Ordering::Relaxed) {
+            let stopped = || probe_state.stopped.load(Ordering::Relaxed);
+            while !stopped() {
                 probe_round(&probe_state);
-                let until = Instant::now() + probe_state.config.probe_interval;
-                while Instant::now() < until && !probe_state.stopped.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(5));
+                let next = Instant::now() + probe_state.config.probe_interval;
+                while !stopped() {
+                    let left = next.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    std::thread::park_timeout(left);
                 }
             }
         })
         .expect("spawn prober");
 
-    let queue = Arc::new(BoundedQueue::<TcpStream>::new(state.config.queue_depth));
-    let workers: Vec<JoinHandle<()>> = (0..state.config.jobs.max(1))
-        .map(|i| {
-            let queue = Arc::clone(&queue);
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name(format!("lhr-router-worker-{i}"))
-                .spawn(move || {
-                    while let Some(stream) = queue.pop() {
-                        let survived =
-                            catch_unwind(AssertUnwindSafe(|| serve_connection(&state, stream)));
-                        if survived.is_err() {
-                            state.obs.counter("router.worker_panics_contained", 1);
-                        }
-                    }
-                })
-                .expect("spawn router worker")
-        })
-        .collect();
-
-    let accept_state = Arc::clone(&state);
-    let accept_queue = Arc::clone(&queue);
-    let shed_pool = ShedPool::new(state.config.shed_writers, state.config.shed_depth);
-    let accept = std::thread::Builder::new()
-        .name("lhr-router-accept".to_owned())
-        .spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_queue, &shed_pool);
-            accept_queue.close();
-            for w in workers {
-                let _ = w.join();
-            }
-            shed_pool.shutdown();
-            accept_state.stopped.store(true, Ordering::Relaxed);
-            let _ = prober.join();
-            accept_state.obs.counter("router.drained", 1);
-            accept_state.telemetry.timeseries.seal_all();
-            accept_state.obs.flush();
-        })
-        .expect("spawn router accept loop");
-
-    Ok(RouterHandle {
-        addr,
+    // Drain: the workers finish what is queued while the prober keeps
+    // health current, then the prober stops.
+    let stop_state = Arc::clone(&state);
+    let stop_prober = move || {
+        stop_state.stopped.store(true, Ordering::Relaxed);
+        prober.thread().unpark();
+        let _ = prober.join();
+    };
+    let queue = Arc::new(BoundedQueue::new(state.config.queue_depth));
+    let settings = Settings {
+        jobs: state.config.jobs,
+        read_timeout: state.config.read_timeout,
+        shed_writers: state.config.shed_writers,
+        shed_depth: state.config.shed_depth,
+    };
+    Ok(front::serve(
+        listener,
+        drain,
         state,
-        accept: Some(accept),
-    })
+        queue,
+        settings,
+        || {},
+        stop_prober,
+    ))
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<RouterState>,
-    queue: &Arc<BoundedQueue<TcpStream>>,
-    shed_pool: &ShedPool,
-) {
-    // Adaptive poll, same scheme as the backend accept loop: yield for
-    // a short hot window after each accept so request trains are picked
-    // up in microseconds, sleep once the listener goes idle.
-    let mut hot_until = Instant::now();
-    loop {
-        if state.draining.load(Ordering::Relaxed) || signal::drain_requested() {
-            return;
+/// A running router.
+pub type RouterHandle = Handle<RouterState>;
+
+impl Service for RouterState {
+    const PREFIX: &'static str = "router";
+    type Task = Infallible;
+
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn tag(req: &Request) -> &'static str {
+        if req.path == "/admin/backends" {
+            "/admin/backends"
+        } else {
+            endpoint_tag(req)
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                hot_until = Instant::now() + Duration::from_millis(2);
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-                let _ = stream.set_nodelay(true);
-                state.obs.counter("router.accepted", 1);
-                match queue.try_push(stream) {
-                    Ok(()) => {}
-                    Err(PushError::Full(stream) | PushError::Closed(stream)) => {
-                        state.obs.counter("router.shed_503", 1);
-                        let response = if queue.is_closed() {
-                            Response::overloaded("router draining", 5)
-                        } else {
-                            Response::overloaded("router queue full", 1)
-                        };
-                        if !shed_pool.try_shed(stream, response) {
-                            state.obs.counter("router.shed_dropped", 1);
+    }
+
+    fn route(state: &Arc<Self>, req: &Request) -> Response {
+        route(state, req)
+    }
+
+    fn run(_state: &Arc<Self>, task: Infallible) {
+        match task {}
+    }
+
+    /// Merges every reachable backend's fragment of `trace` (`GET
+    /// /v1/trace/<id>?format=fragment` against each) into the router's
+    /// own rows; the stitcher then aligns clock skew -- each backend
+    /// fragment is shifted into the router's timeline using the
+    /// send/recv bounds of the attempt span that parented it. Down
+    /// backends are skipped: a trace is served from whatever fragments
+    /// survive, never blocked on a dead process.
+    fn remote_rows(state: &Arc<Self>, trace: u128, rows: &mut Vec<SpanRow>) {
+        let topo = state.topology();
+        for backend in &topo.backends {
+            if backend.health() == HealthState::Down {
+                continue;
+            }
+            let raw = format!(
+                "GET /v1/trace/{trace:032x}?format=fragment HTTP/1.1\r\nHost: lhr-router\r\n\r\n"
+            );
+            match httpc::exchange_timeouts(
+                backend.addr,
+                raw.as_bytes(),
+                state.config.connect_timeout,
+                state.config.forward_timeout,
+            ) {
+                Ok(resp) if resp.status == 200 => {
+                    if let Ok(body) = std::str::from_utf8(&resp.body) {
+                        if let Some(fragment) = lhr_store::parse_fragment(body) {
+                            merge_fragment(rows, fragment);
                         }
                     }
                 }
+                // 404/503 mean "no fragment there" -- normal for a trace
+                // that never touched this backend or one without a store.
+                Ok(_) | Err(_) => {}
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Same floor-on-latency argument as the backend accept
-                // loop -- and the router sits in front of a second
-                // accept loop, so its poll interval compounds.
-                if Instant::now() < hot_until {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-            Err(_) => std::thread::sleep(Duration::from_micros(200)),
         }
     }
 }
@@ -534,114 +498,12 @@ fn probe_round(state: &Arc<RouterState>) {
     }
 }
 
-/// Serves one client connection: parse, route, record RED, respond.
-fn serve_connection(state: &Arc<RouterState>, stream: TcpStream) {
-    let started = Instant::now();
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    match read_request(&mut reader) {
-        Ok(req) => {
-            // Join the caller's distributed trace (`x-lhr-trace`) or
-            // mint a fresh one -- the router is the usual trace root.
-            // Hostile headers are counted, never rejected. Everything
-            // downstream on this thread -- candidate walks, hedged
-            // exchanges, the local-fallback harness -- inherits this
-            // context, so fallback simulations record the *client's*
-            // request id, not a fresh one.
-            let ctx = match req.header("x-lhr-trace").map(context::parse_trace_header) {
-                Some(Some((trace, parent, _flags))) => Ctx {
-                    request: context::next_request_id(),
-                    parent,
-                    trace,
-                },
-                header => {
-                    if header.is_some() {
-                        state.obs.counter("trace.header_invalid", 1);
-                    }
-                    Ctx {
-                        request: context::next_request_id(),
-                        parent: 0,
-                        trace: context::next_trace_id(),
-                    }
-                }
-            };
-            context::with_ctx(ctx, || {
-                state.obs.counter("router.requests", 1);
-                let tag = router_tag(&req);
-                let span_name = format!("router.request.{tag}");
-                let mut span = state.obs.span(&span_name);
-                let response = catch_unwind(AssertUnwindSafe(|| route(state, &req)))
-                    .unwrap_or_else(|_| {
-                        Response::error(500, "handler_panic", "router handler panicked")
-                    });
-                if response.status >= 500 {
-                    span.fail();
-                }
-                span.end();
-                if response.status >= 400 {
-                    state
-                        .obs
-                        .counter(&format!("router.http_{}", response.status), 1);
-                }
-                let _ = response.write_to(&mut writer);
-                let latency = started.elapsed().as_secs_f64();
-                let is_error = response.status >= 500;
-                state.obs.counter(&format!("router.req.{tag}"), 1);
-                if is_error {
-                    state.obs.counter(&format!("router.err.{tag}"), 1);
-                }
-                state
-                    .obs
-                    .histogram(&format!("router.latency.{tag}"), latency);
-                state.telemetry.slo.observe(is_error, latency, &state.obs);
-            });
-        }
-        Err(HttpError::BadRequest(detail)) => {
-            state.obs.counter("router.http_400", 1);
-            let _ = Response::error(400, "bad_request", &detail).write_to(&mut writer);
-        }
-        Err(HttpError::TimedOut) => {
-            state.obs.counter("router.timeout", 1);
-            let _ = Response::error(408, "request_timeout", "idle connection timed out")
-                .write_to(&mut writer);
-        }
-        Err(HttpError::Disconnected) => {
-            state.obs.counter("router.disconnects", 1);
-        }
-    }
-}
-
-fn router_tag(req: &Request) -> &'static str {
-    if req.path == "/admin/backends" {
-        "/admin/backends"
-    } else {
-        endpoint_tag(req)
-    }
-}
-
-/// Dispatches one parsed request.
+/// Dispatches one parsed request the front end's shared endpoints did
+/// not answer.
 fn route(state: &Arc<RouterState>, req: &Request) -> Response {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/healthz") => healthz(state),
-        (Method::Get, "/metrics" | "/v1/metrics") => metrics(state, req),
-        (Method::Get, "/v1/metrics/timeseries") => {
-            let mut body = state.telemetry.timeseries.snapshot().render_json();
-            body.push('\n');
-            Response::ok_json(body)
-        }
-        (Method::Post, "/admin/drain") => {
-            state.draining.store(true, Ordering::Relaxed);
-            state.obs.counter("router.drain_requests", 1);
-            Response::ok_json("{\"draining\":true}\n".to_owned())
-        }
         (Method::Post, "/admin/backends") => admin_backends(state, req),
-        (Method::Get, "/v1/traces") => router_traces(state, req),
-        (Method::Get, p) if p.starts_with("/v1/trace/") => {
-            router_trace(state, &p["/v1/trace/".len()..], req)
-        }
         (_, "/admin/drain" | "/admin/backends") => Response::error(
             405,
             "method_not_allowed",
@@ -1015,7 +877,7 @@ fn degrade(state: &Arc<RouterState>, req: &Request) -> Response {
         Some(fb) => {
             state.obs.counter("router.local_fallbacks", 1);
             // The fallback runs on this thread under the client
-            // request's context (installed by `serve_connection`), so
+            // request's context (installed by the front end), so
             // its simulation spans carry the client's request and trace
             // ids -- not a fresh id -- and nest under this span.
             let mut span = state.obs.span("router.fallback");
@@ -1066,7 +928,7 @@ fn healthz(state: &Arc<RouterState>) -> Response {
     body.push_str(",\"role\":\"router\",\"uptime_seconds\":");
     push_json_number(&mut body, state.started.elapsed().as_secs_f64());
     body.push_str(",\"draining\":");
-    body.push_str(if state.draining.load(Ordering::Relaxed) {
+    body.push_str(if state.drain.requested() {
         "true"
     } else {
         "false"
@@ -1114,26 +976,6 @@ fn healthz(state: &Arc<RouterState>) -> Response {
     Response::ok_json(body)
 }
 
-/// `/metrics` and `/v1/metrics` for the router's own telemetry, with
-/// the same Prometheus content negotiation as a backend.
-fn metrics(state: &Arc<RouterState>, req: &Request) -> Response {
-    let snap = state.telemetry.snapshot();
-    let wants_prometheus = req.param("format") == Some("prometheus")
-        || req
-            .header("accept")
-            .is_some_and(|accept| accept.contains("text/plain"));
-    if wants_prometheus {
-        Response {
-            status: 200,
-            content_type: prom::CONTENT_TYPE,
-            body: prom::render_prometheus(&snap).into_bytes(),
-            retry_after: None,
-        }
-    } else {
-        Response::ok_text(snap.render())
-    }
-}
-
 /// `POST /admin/backends?set=host:port,host:port,...` -- replaces the
 /// backend set live. Restarted backends come back on fresh ports (the
 /// killed listener's port sits in TIME_WAIT), so rolling restarts are
@@ -1155,93 +997,6 @@ fn admin_backends(state: &Arc<RouterState>, req: &Request) -> Response {
     healthz(state)
 }
 
-// ---------------------------------------------------------------------
-// Distributed-trace endpoints
-// ---------------------------------------------------------------------
-
-/// `GET /v1/traces`: searches the *router's* span table. Every client
-/// request passes through the router, so router-side summaries cover
-/// the whole topology; the per-process detail lives behind
-/// `/v1/trace/<id>`, which aggregates the backends.
-fn router_traces(state: &Arc<RouterState>, req: &Request) -> Response {
-    let Some(spans) = state.telemetry.spans.as_ref() else {
-        return Response::error(
-            503,
-            "span_store_unavailable",
-            "this router runs without a span store; boot with --span-store to enable trace search",
-        );
-    };
-    let query = lhr_store::SpanQuery {
-        name: req.param("name").unwrap_or("").to_owned(),
-        errors_only: req.param("status") == Some("error"),
-        min_dur_ns: req
-            .param("min_dur_ns")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        limit: req.param("limit").and_then(|v| v.parse().ok()).unwrap_or(50),
-    };
-    let mut body = lhr_store::summaries_json(&spans.table().search(&query));
-    body.push('\n');
-    Response::ok_json(body)
-}
-
-/// `GET /v1/trace/<32-hex-id>`: the stitched *multi-process* tree. The
-/// router merges its own span fragment with every reachable backend's
-/// (`GET /v1/trace/<id>?format=fragment` against each), then stitches
-/// with clock-skew alignment -- each backend fragment is shifted into
-/// the router's timeline using the send/recv bounds of the attempt
-/// span that parented it. Down backends are skipped: a trace is served
-/// from whatever fragments survive, never blocked on a dead process.
-fn router_trace(state: &Arc<RouterState>, id: &str, req: &Request) -> Response {
-    let Some(spans) = state.telemetry.spans.as_ref() else {
-        return Response::error(
-            503,
-            "span_store_unavailable",
-            "this router runs without a span store; boot with --span-store to enable trace lookup",
-        );
-    };
-    let Ok(trace) = u128::from_str_radix(id.trim(), 16) else {
-        return Response::error(400, "bad_trace_id", "trace id must be hex (32 digits)");
-    };
-    let mut rows = spans.table().trace_rows(trace);
-    let topo = state.topology();
-    for backend in &topo.backends {
-        if backend.health() == HealthState::Down {
-            continue;
-        }
-        let raw = format!(
-            "GET /v1/trace/{trace:032x}?format=fragment HTTP/1.1\r\nHost: lhr-router\r\n\r\n"
-        );
-        match httpc::exchange_timeouts(
-            backend.addr,
-            raw.as_bytes(),
-            state.config.connect_timeout,
-            state.config.forward_timeout,
-        ) {
-            Ok(resp) if resp.status == 200 => {
-                if let Ok(body) = std::str::from_utf8(&resp.body) {
-                    if let Some(fragment) = lhr_store::parse_fragment(body) {
-                        merge_fragment(&mut rows, fragment);
-                    }
-                }
-            }
-            // 404/503 mean "no fragment there" -- normal for a trace
-            // that never touched this backend or one without a store.
-            Ok(_) | Err(_) => {}
-        }
-    }
-    if rows.is_empty() {
-        return Response::error(404, "no_such_trace", "no persisted spans for that trace id");
-    }
-    let mut body = if req.param("format") == Some("fragment") {
-        lhr_store::fragment_json(trace, &rows)
-    } else {
-        lhr_store::tree_json(trace, &lhr_store::stitch(&rows))
-    };
-    body.push('\n');
-    Response::ok_json(body)
-}
-
 /// Merges a backend fragment into the accumulated row set, dropping
 /// exact duplicates (two backends sharing one span directory would
 /// otherwise double every span).
@@ -1259,6 +1014,8 @@ fn merge_fragment(rows: &mut Vec<SpanRow>, fragment: Vec<SpanRow>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::read_request;
+    use std::io::BufReader;
 
     fn get_req(target: &str) -> Request {
         let raw = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");

@@ -1,8 +1,11 @@
 //! Signal-triggered drain: `SIGINT`/`SIGTERM` flip one atomic flag.
 //!
-//! The server polls [`drain_requested`] from its accept loop; the
-//! handler itself does nothing but a relaxed store, which is
-//! async-signal-safe. No `libc` crate exists in this offline workspace,
+//! The handler itself does nothing but a relaxed store, which is
+//! async-signal-safe. A front end's accept thread blocks in `accept`,
+//! which a signal does not end (std retries `EINTR`, and `signal(2)`
+//! installs restarting handlers), so each front end's watcher thread
+//! ([`crate::front`]) reads [`drain_requested`] five times a second and
+//! turns it into a drain. No `libc` crate exists in this offline workspace,
 //! so the two needed symbols (`signal(2)` with the classic
 //! handler-address ABI) are declared directly; this is the crate's only
 //! unsafe code, confined to this module and compiled only on Unix.

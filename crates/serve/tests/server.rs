@@ -11,7 +11,9 @@
 //! 3. **Fault containment** -- a malformed request costs one `400`,
 //!    never a worker.
 //! 4. **Graceful drain** -- `POST /admin/drain` stops admission, lets
-//!    in-flight work complete, and `wait()` returns.
+//!    in-flight work complete, and `wait()` returns; an idle server's
+//!    blocked accept wakes for every drain path without counting the
+//!    wake.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -342,4 +344,47 @@ fn slowloris_connection_times_out_with_408_and_is_counted() {
         "slowloris must land in the serve.timeout counter: {snapshot}"
     );
     drop(handle);
+}
+
+#[test]
+fn an_idle_server_drains_by_every_path_without_counting_the_wake() {
+    for path in ["drain()", "POST /admin/drain", "drop"] {
+        let (handle, recorder) = boot(|_| {});
+        // No client ever connects: the accept thread is blocked.
+        std::thread::sleep(Duration::from_millis(50));
+        let (done, drained) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            match path {
+                "drain()" => {
+                    handle.drain();
+                    handle.wait();
+                }
+                "POST /admin/drain" => {
+                    let (status, _) =
+                        http_request(handle.addr(), "POST /admin/drain HTTP/1.1\r\n\r\n");
+                    assert_eq!(status, 200);
+                    handle.wait();
+                }
+                _ => drop(handle),
+            }
+            let _ = done.send(());
+        });
+        drained
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{path}: not drained within 2 s"));
+        let snap = recorder.snapshot();
+        assert_eq!(
+            snap.counter("serve.drained"),
+            1,
+            "{path}: {}",
+            snap.render()
+        );
+        // The wake connection moves no connection counter: only the
+        // drain request itself, when it was one, is counted.
+        let requests = u64::from(path == "POST /admin/drain");
+        assert_eq!(snap.counter("serve.accepted"), requests, "{path}");
+        assert_eq!(snap.counter("serve.requests"), requests, "{path}");
+        assert_eq!(snap.counter("serve.disconnects"), 0, "{path}");
+        assert_eq!(snap.counter("serve.timeout"), 0, "{path}");
+    }
 }

@@ -17,6 +17,8 @@
 //!    live; joiners start Suspect and probe their way Up.
 //! 5. **Aggregation** -- `/healthz` reports per-backend health,
 //!    breaker, and probe latency; campaigns are a typed 501.
+//! 6. **Drain** -- an idle router's blocked accept wakes for every
+//!    drain path without counting the wake.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -351,4 +353,46 @@ fn admin_backends_swaps_the_topology_live() {
     router.wait();
     drop(b0);
     drop(b1);
+}
+
+#[test]
+fn an_idle_router_drains_by_every_path_without_counting_the_wake() {
+    for path in ["drain()", "POST /admin/drain", "drop"] {
+        let (handle, recorder) = boot_router(router_config(Vec::new(), 0), false);
+        // No client ever connects: the accept thread is blocked.
+        std::thread::sleep(Duration::from_millis(50));
+        let (done, drained) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            match path {
+                "drain()" => {
+                    handle.drain();
+                    handle.wait();
+                }
+                "POST /admin/drain" => {
+                    let (status, _) = http_post(handle.addr(), "/admin/drain");
+                    assert_eq!(status, 200);
+                    handle.wait();
+                }
+                _ => drop(handle),
+            }
+            let _ = done.send(());
+        });
+        drained
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{path}: not drained within 2 s"));
+        let snap = recorder.snapshot();
+        assert_eq!(
+            snap.counter("router.drained"),
+            1,
+            "{path}: {}",
+            snap.render()
+        );
+        // The wake connection moves no connection counter: only the
+        // drain request itself, when it was one, is counted.
+        let requests = u64::from(path == "POST /admin/drain");
+        assert_eq!(snap.counter("router.accepted"), requests, "{path}");
+        assert_eq!(snap.counter("router.requests"), requests, "{path}");
+        assert_eq!(snap.counter("router.disconnects"), 0, "{path}");
+        assert_eq!(snap.counter("router.timeout"), 0, "{path}");
+    }
 }
