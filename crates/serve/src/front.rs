@@ -303,6 +303,8 @@ fn accept_loop<S: Service>(
                     obs.gauge(gauge, queue.len() as f64);
                 }
             }
+            // The queue closes only after this loop returns, so a push
+            // here fails only because the queue is full.
             Err(PushError::Full(work) | PushError::Closed(work)) => {
                 // Admission control: shed *now*, from the accept thread,
                 // with a backoff hint -- queueing it anyway is how
@@ -314,11 +316,7 @@ fn accept_loop<S: Service>(
                     unreachable!("accept only pushes connections")
                 };
                 obs.counter(&format!("{}.shed_503", S::PREFIX), 1);
-                let response = if queue.is_closed() {
-                    Response::overloaded("server draining", 5)
-                } else {
-                    Response::overloaded("request queue full", 1)
-                };
+                let response = Response::overloaded("request queue full", 1);
                 if !shed.try_shed(stream, response) {
                     obs.counter(&format!("{}.shed_dropped", S::PREFIX), 1);
                 }

@@ -199,12 +199,6 @@ impl<T> BoundedQueue<T> {
         let inner = self.inner.lock().expect("queue lock");
         inner.items.is_empty() && inner.background.is_empty()
     }
-
-    /// Whether the queue has been closed (drain in progress).
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -20,8 +20,9 @@ pub fn drain_requested() -> bool {
     DRAIN.load(Ordering::Relaxed)
 }
 
-/// Requests a drain from process context (the `/admin/drain` endpoint
-/// and tests use this; signals use the handler below).
+/// Requests a drain of every front end in the process, as a signal
+/// does, from process context (tests use this; signals use the handler
+/// below).
 pub fn request_drain() {
     DRAIN.store(true, Ordering::Relaxed);
 }
